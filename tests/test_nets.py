@@ -1,12 +1,16 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predsearch import (
     Ball,
     CandidateCapExceeded,
     Net,
+    Point,
     build_net,
     check_covering,
     check_separation,
@@ -19,6 +23,8 @@ from predsearch import (
     separated_set,
     visit_order,
 )
+from predsearch.nets import DEFAULT_CANDIDATE_CAP, dists_to
+from predsearch.strategies import _unit_walk
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -121,6 +127,74 @@ def _brute_greedy(points, start):
         out.append(nxt)
         remaining.remove(nxt)
     return out
+
+
+def _reference_order(net, start):
+    """The O(n^2) greedy walk: rescan every point at each step and take the
+    first argmin over the lexicographically sorted rows."""
+    arr = net.points_array
+    n, d = arr.shape
+    arr = arr[np.lexsort(tuple(arr[:, k] for k in reversed(range(d))))]
+    remaining_dist = dists_to(arr, start.coords)
+    visited = np.zeros(n, dtype=bool)
+    order: list[int] = []
+    for _ in range(n):
+        current = int(np.argmin(remaining_dist))
+        order.append(current)
+        visited[current] = True
+        remaining_dist = dists_to(arr, arr[current])
+        remaining_dist[visited] = np.inf
+    return [Point(tuple(arr[i])) for i in order]
+
+
+@pytest.mark.parametrize(
+    "d, eps",
+    [(1, 1 / 16), (2, 1 / 4), (2, 1 / 16), (2, 1 / 24), (3, 1 / 8)],
+)
+@pytest.mark.parametrize("centered", [True, False])
+def test_visit_order_matches_reference_on_unit_nets(d, eps, centered):
+    net = build_net(Ball(origin(d), 1.0), eps)
+    start = origin(d) if centered else point(*(0.61 - 0.37 * k for k in range(d)))
+    assert visit_order(net, start) == _reference_order(net, start)
+
+
+@st.composite
+def _grid_clouds(draw):
+    d = draw(st.integers(1, 3))
+    coord = st.integers(-4, 4).map(float)
+    rows = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=300))
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(rows))
+    else:
+        start = draw(st.tuples(*[st.integers(-6, 6).map(lambda x: x / 2)] * d))
+    net = Net(
+        points=tuple(Point(row) for row in rows),
+        ball=Ball(origin(d), 10.0),
+        cover_radius=10.0,
+        separation=0.0,
+    )
+    return net, Point(start)
+
+
+@settings(deadline=None)
+@given(_grid_clouds())
+def test_visit_order_matches_reference_on_grid_clouds(case):
+    # Integer grids with duplicate rows make exact distance ties common.
+    net, start = case
+    order = visit_order(net, start)
+    assert order == _reference_order(net, start)
+    assert sorted(p.coords for p in order) == sorted(p.coords for p in net.points)
+
+
+def test_unit_walk_of_benchmark_net_is_pinned():
+    # The lowerbound c=24 d=2 walk (13,447 points), recorded with the O(n^2)
+    # implementation; checking it against _reference_order would take seconds.
+    walk = _unit_walk(2, 1 / 48, DEFAULT_CANDIDATE_CAP)
+    assert walk.shape == (13447, 2)
+    assert hashlib.blake2b(walk.tobytes()).hexdigest() == (
+        "26100248a82a66c6212d19108771f782fc29d70d3039a1b6123e147e0c89ae70"
+        "f1a046363c003f83dcdba8756ff81d82d59789f2da3b4ce76cee6a4e8ceebdb6"
+    )
 
 
 def test_visit_order_1d_chain():
