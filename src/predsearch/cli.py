@@ -265,6 +265,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("all sweep c values must be >= 1")
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
+    if min(args.d) < 1 or not args.delta > 0.0:
+        raise ConfigError("need d >= 1 and delta > 0")
     rows = []
     for d in args.d:
         for c in args.c:
@@ -316,6 +318,8 @@ def cmd_lowerbound(args) -> int:
         raise ConfigError("the adversarial construction needs c > 4")
     if args.strategy not in ("known_c", "unknown_c"):
         raise ConfigError("strategy must be known_c or unknown_c")
+    if args.d < 1 or not args.delta > 0.0:
+        raise ConfigError("need d >= 1 and delta > 0")
     instance = build_adversarial_instance(args.c, args.d)
     config = StrategyConfig(
         kind=args.strategy,
@@ -346,8 +350,8 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_net(args) -> int:
-    if not args.eps <= args.r:
-        raise ConfigError("need eps <= r")
+    if args.d < 1 or args.samples < 1 or not 0.0 < args.eps <= args.r:
+        raise ConfigError("need d >= 1, samples >= 1 and 0 < eps <= r")
     net = build_net(Ball(origin(args.d), args.r), args.eps)
     lower = net_size_lower_bound(args.r, args.eps, args.d)
     upper = net_size_upper_bound(args.r, args.eps, args.d)

@@ -5,7 +5,8 @@ then a greedy selection of a maximal separated subset in lexicographic
 candidate order. For a net with cover radius eps the lattice spacing is
 (eps/3)/sqrt(d) (so candidates cover the ball within eps/3) and the greedy
 separation is 2*eps/3, which certifies cover radius <= eps and cardinality
-(r/eps)^d <= |N| <= (4.5*r/eps)^d for eps <= r.
+(r/eps)^d <= |N| <= (4.5*r/eps)^d for eps <= r. The greedy blocks a fixed
+integer stencil of lattice indices around each kept point.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ __all__ = [
 
 DEFAULT_CANDIDATE_CAP = 5_000_000
 
-# Greedy blocking uses the KD-tree's arithmetic; the guard absorbs any
-# last-ulp disagreement with our own distance so kept pairs always pass the
-# exact separation check.
+# KD-tree distances can differ from dists_to in the last ulps. The walk in
+# visit_order and the pair filter in check_separation widen tree radii by
+# this guard so that they never miss a point that dists_to would count.
 _BLOCK_GUARD = 1.0 + 1e-9
 
 # Nearest neighbours kept per point for the greedy walk. More neighbours
@@ -102,9 +103,17 @@ def dists_to(arr: np.ndarray, coords) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _lattice_candidates(dimension: int, radius: float, spacing: float, cap: int) -> np.ndarray:
-    """Cubic-lattice points (centered at the origin) inside the closed ball,
-    in lexicographic order."""
+def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int, cap: int, center):
+    """Greedy maximal separated subset, in lexicographic order, of the lattice
+    ``spacing * Z^d`` in the closed ball of ``radius``, shifted by ``center``
+    and kept where it also lies in B(center, radius).
+
+    A kept point blocks every later point at index offset o with |o|^2 <=
+    ``block_sq`` = (separation/spacing)^2 (4d for nets, 9d for separated
+    sets). That is blocking within ``separation * _BLOCK_GUARD`` exactly
+    while |center| + radius stays below ~1e6 separations, so that rounding
+    stays inside the guard; |o|^2 = block_sq + 1 is sqrt(1 + 1/block_sq) out.
+    """
     k_max = int(math.floor(radius / spacing)) if radius > 0 else 0
     per_axis = 2 * k_max + 1
     total = per_axis**dimension
@@ -114,28 +123,34 @@ def _lattice_candidates(dimension: int, radius: float, spacing: float, cap: int)
             f"(d={dimension}, radius/spacing={radius / spacing:.3g})"
         )
     axis = np.arange(-k_max, k_max + 1, dtype=np.float64) * spacing
-    mesh = np.meshgrid(*([axis] * dimension), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = dists_to(pts, (0.0,) * dimension) <= radius
-    return pts[keep]
-
-
-def _greedy_separated(candidates: np.ndarray, separation: float) -> np.ndarray:
-    """Maximal subset with pairwise distance > separation, greedily in
-    candidate order. Every candidate ends up within separation*(1+1e-9) of a
-    kept point."""
-    if len(candidates) == 0:
-        return candidates
-    tree = cKDTree(candidates)
-    blocked = np.zeros(len(candidates), dtype=bool)
-    chosen: list[int] = []
-    guard = separation * _BLOCK_GUARD
-    for idx in range(len(candidates)):
-        if blocked[idx]:
-            continue
-        chosen.append(idx)
-        blocked[tree.query_ball_point(candidates[idx], guard)] = True
-    return candidates[chosen]
+    keep = np.ones((per_axis,) * dimension, dtype=bool)
+    # dists_to's arithmetic, by broadcasting; the set drops a repeated origin.
+    for c in {(0.0,) * dimension, tuple(center)}:
+        acc = np.zeros(keep.shape, dtype=np.float64)
+        for k in range(dimension):
+            diff = (axis + c[k]) - c[k]
+            acc += (diff * diff).reshape((-1,) + (1,) * (dimension - 1 - k))
+        keep &= np.sqrt(acc, out=acc) <= radius
+    # Blocks reach only forward in flat order (kept points stay unblocked); a
+    # step off the grid lands in the border after the last axis it leaves.
+    w = min(math.isqrt(block_sq), 2 * k_max)
+    grid = np.pad(keep, (0, w))
+    reach = np.arange(-w, w + 1)
+    off_sq = off = np.zeros(1, dtype=np.int64)
+    for _ in range(dimension):  # flat stencil offsets, axis by axis, pruned as they grow
+        off_sq = np.add.outer(off_sq, reach * reach).ravel()
+        off = np.add.outer(off * grid.shape[0], reach).ravel()
+        off, off_sq = off[off_sq <= block_sq], off_sq[off_sq <= block_sq]
+    off = off[off > 0]
+    cands = np.flatnonzero(grid)
+    # Python ints from a memoryview and bytearray read faster than numpy's.
+    seen = bytearray(grid.size)
+    blocked = np.frombuffer(seen, dtype=bool)
+    for p in memoryview(cands):
+        if not seen[p]:
+            blocked[p + off] = True
+    idx = np.unravel_index(cands[~blocked[cands]], grid.shape)
+    return np.stack([axis[i] + c for i, c in zip(idx, center)], axis=1)
 
 
 @lru_cache(maxsize=64)
@@ -147,8 +162,7 @@ def _unit_net_points(dimension: int, eps: float, cap: int):
     builds with the same eps/radius ratio cheap.
     """
     spacing = (eps / 3.0) / math.sqrt(dimension)
-    cands = _lattice_candidates(dimension, 1.0, spacing, cap)
-    pts = _greedy_separated(cands, 2.0 * eps / 3.0)
+    pts = _lattice_greedy(dimension, 1.0, spacing, 4 * dimension, cap, (0.0,) * dimension)
     pts.flags.writeable = False
     return pts
 
@@ -285,18 +299,24 @@ def check_covering(net: Net, samples: int, seed: int) -> CoverReport:
 
 
 def check_separation(net: Net) -> bool:
-    """Exact all-pairs separation check (no tolerance)."""
+    """Exact all-pairs separation check (no tolerance).
+
+    Only the pairs that a KD-tree finds within ``separation * _BLOCK_GUARD``
+    are measured by :func:`dists_to`. The filter is complete: tree and exact
+    distances differ by a few ulps, so a pair at exact distance < s has tree
+    distance < s * (1 + 1e-9).
+    """
     arr = net.points_array
-    for i in range(len(arr) - 1):
-        if np.min(dists_to(arr[i + 1 :], arr[i])) < net.separation:
-            return False
-    return True
+    if len(arr) < 2:
+        return True
+    i, j = cKDTree(arr).query_pairs(net.separation * _BLOCK_GUARD, output_type="ndarray").T
+    # Row k of arr[i].T holds the k-th coordinate of every pair's first point.
+    return not np.any(dists_to(arr[j], arr[i].T) < net.separation)
 
 
 def separated_set(
     ball: Ball,
     separation: float,
-    spacing: float | None = None,
     candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> tuple[Point, ...]:
     """Greedy maximal separated subset of a lattice inside the ball.
@@ -308,10 +328,6 @@ def separated_set(
     if separation <= 0.0:
         raise ValueError("separation must be > 0")
     d = ball.dimension
-    if spacing is None:
-        spacing = (separation / 3.0) / math.sqrt(d)
-    cands = _lattice_candidates(d, ball.radius, spacing, candidate_cap)
-    cands = cands + np.array(ball.center.coords, dtype=np.float64)
-    cands = cands[dists_to(cands, ball.center.coords) <= ball.radius]
-    pts = _greedy_separated(cands, separation)
+    spacing = (separation / 3.0) / math.sqrt(d)
+    pts = _lattice_greedy(d, ball.radius, spacing, 9 * d, candidate_cap, ball.center.coords)
     return tuple(Point(tuple(row)) for row in pts)

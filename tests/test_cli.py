@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import predsearch
 from predsearch import point, render_svg, search_known_c
 from predsearch.cli import main
 from predsearch.oracles import OracleSpec, PredictionOracle
@@ -189,6 +194,45 @@ def test_net_command(tmp_path, capsys):
 
 def test_net_rejects_eps_above_r():
     assert main(["net", "--d", "2", "--eps", "2.0", "--r", "1.0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["net", "--d", "2", "--eps", "0"],
+        ["net", "--d", "2", "--eps", "-1"],
+        ["net", "--d", "0", "--eps", "0.5"],
+        ["net", "--d", "2", "--r", "-1", "--eps", "0.5"],
+        ["net", "--d", "2", "--eps", "0.5", "--check", "--samples", "0"],
+        ["lowerbound", "--c", "8", "--d", "0"],
+        ["lowerbound", "--c", "8", "--d", "2", "--delta", "0"],
+        ["sweep", "--d", "1", "--c", "2", "--trials", "1", "--seed", "0", "--delta", "0"],
+    ],
+)
+def test_invalid_numbers_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_d0_exits_2_promptly(tmp_path):
+    # A zero-dimensional sweep cell once resampled a size-0 direction forever;
+    # a child process turns such a hang into a timeout.
+    env = dict(os.environ, PYTHONPATH=str(Path(predsearch.__file__).parents[1]))
+    argv = ["sweep", "--d", "1", "0", "--c", "2", "--trials", "1", "--seed", "0"]
+    argv += ["--out", str(tmp_path / "out.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "predsearch.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
 
 
 def test_svg_requires_d2():

@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from predsearch import (
     Ball,
@@ -23,7 +25,7 @@ from predsearch import (
     separated_set,
     visit_order,
 )
-from predsearch.nets import DEFAULT_CANDIDATE_CAP, dists_to
+from predsearch.nets import DEFAULT_CANDIDATE_CAP, _unit_net_points, dists_to
 from predsearch.strategies import _unit_walk
 
 
@@ -113,6 +115,122 @@ def test_check_separation_cases():
     assert not check_separation(bad)
     single = Net(points=(point(0.0),), ball=ball, cover_radius=1.0, separation=0.5)
     assert check_separation(single)
+    empty = Net(points=(), ball=ball, cover_radius=1.0, separation=0.5)
+    assert check_separation(empty)
+
+
+def _reference_separation(net):
+    """The O(n^2) check: every point against all later ones, by dists_to."""
+    arr = net.points_array
+    for i in range(len(arr) - 1):
+        if np.min(dists_to(arr[i + 1 :], arr[i])) < net.separation:
+            return False
+    return True
+
+
+@st.composite
+def _separation_cases(draw):
+    d = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    coord = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+    ).map(lambda x: x * scale)
+    rows = draw(st.lists(st.tuples(*[coord] * d), min_size=2, max_size=60))
+    arr = np.array(rows, dtype=np.float64)
+    closest = min(float(np.min(dists_to(arr[i + 1 :], arr[i]))) for i in range(len(arr) - 1))
+    # Plant the closest pair at exactly the separation, or one ulp below it.
+    separation = draw(
+        st.sampled_from([closest, float(np.nextafter(closest, np.inf))])
+        | st.floats(0.0, 4.0 * scale)
+    )
+    return Net(
+        points=tuple(Point(row) for row in rows),
+        ball=Ball(origin(d), 10.0 * scale),
+        cover_radius=10.0 * scale,
+        separation=separation,
+    )
+
+
+@settings(deadline=None)
+@given(_separation_cases())
+def test_check_separation_matches_all_pairs_reference(net):
+    assert check_separation(net) == _reference_separation(net)
+
+
+def _reference_greedy(d, radius, spacing, separation, center):
+    """The KD-tree greedy over float lattice candidates: the cubic lattice in
+    the ball at the origin, shifted by center and re-filtered, thinned in
+    lexicographic order by blocking within separation * (1 + 1e-9)."""
+    k_max = int(math.floor(radius / spacing)) if radius > 0 else 0
+    axis = np.arange(-k_max, k_max + 1, dtype=np.float64) * spacing
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    cands = np.stack([m.ravel() for m in mesh], axis=1)
+    cands = cands[dists_to(cands, (0.0,) * d) <= radius] + np.array(center)
+    cands = cands[dists_to(cands, center) <= radius]
+    tree = cKDTree(cands)
+    blocked = np.zeros(len(cands), dtype=bool)
+    chosen = []
+    for idx in range(len(cands)):
+        if not blocked[idx]:
+            chosen.append(idx)
+            blocked[tree.query_ball_point(cands[idx], separation * (1.0 + 1e-9))] = True
+    return cands[chosen]
+
+
+# The cases of the benchmark's nets, (3, 0.08) and (4, 0.3), are pinned below:
+# their reference takes seconds.
+@pytest.mark.parametrize(
+    "d, eps", [(2, 1 / 48), (2, 1 / 24), (3, 1 / 8), (1, 1 / 16), (2, 0.25), (4, 0.5)]
+)
+def test_unit_net_points_match_reference_greedy(d, eps):
+    ref = _reference_greedy(d, 1.0, (eps / 3.0) / math.sqrt(d), 2.0 * eps / 3.0, (0.0,) * d)
+    pts = _unit_net_points(d, eps, DEFAULT_CANDIDATE_CAP)
+    assert pts.shape == ref.shape
+    assert pts.tobytes() == ref.tobytes()
+
+
+# Recorded with the KD-tree greedy that _reference_greedy keeps.
+_BENCHMARK_NET_DIGESTS = {
+    (3, 0.08): "431544b567746a2586d29726fcf3a1c7bd3777e418c7d8297f1899268b45dab1"
+    "75b9b397900c52f2fe3946957f179c7d02cfa10cb5eb8a0dda4aff033610e804",
+    (4, 0.3): "4b990727da03ddd961213487c6b448f49c736bd9b3a8244ddecd0aa46260e21d"
+    "1a996b457f1694c397b632ae4cf9953c65d66a55a75fd1849f50a896afbeea5e",
+}
+
+
+@pytest.mark.parametrize("d, eps", sorted(_BENCHMARK_NET_DIGESTS))
+def test_unit_net_points_of_benchmark_nets_are_pinned(d, eps):
+    pts = _unit_net_points(d, eps, DEFAULT_CANDIDATE_CAP)
+    assert hashlib.blake2b(pts.tobytes()).hexdigest() == _BENCHMARK_NET_DIGESTS[d, eps]
+
+
+@pytest.mark.parametrize(
+    "center, radius, separation",
+    [((0.0,) * d, 0.25, 2.0 / c) for c, d in [(24, 2), (32, 2), (48, 2), (16, 3), (12, 1), (20, 4)]]
+    + [((0.3, -0.7), 0.5, 0.05), ((1e3, 2.5, -1.0), 0.3, 0.1)]
+    # Boundary points that only one of the two ball tests keeps: at center 1.2
+    # the lattice point at +1.0 shifts one ulp out of the ball; at (2.4, 0.7)
+    # the point at index (1, 2), one ulp outside the radius, shifts inside.
+    + [((1.2,), 1.0, 0.75), ((2.4, 0.7), 0.4743416490252568, 0.9)],
+)
+def test_separated_set_matches_reference_greedy(center, radius, separation):
+    d = len(center)
+    ref = _reference_greedy(d, radius, (separation / 3.0) / math.sqrt(d), separation, center)
+    pts = np.array([p.coords for p in separated_set(Ball(Point(center), radius), separation)])
+    assert pts.shape == ref.shape
+    assert pts.tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.floats(-5.0, 5.0)] * d)),
+    st.floats(0.0, 1.0),
+    st.floats(0.25, 8.0),
+)
+def test_separated_set_matches_reference_greedy_on_random_balls(center, radius, ratio):
+    # Separations up to 8 radii make the stencil wider than the lattice.
+    test_separated_set_matches_reference_greedy(center, radius, max(radius, 0.01) * ratio)
 
 
 def _brute_greedy(points, start):
