@@ -10,13 +10,12 @@ from .geometry import (
     Ball,
     Point,
     PolyPath,
-    SphericalShell,
     contains,
+    cumulative_lengths,
     distance,
     origin,
     path_length,
     point,
-    shell_contains,
 )
 from .nets import (
     CandidateCapExceeded,
@@ -36,9 +35,11 @@ from .oracles import (
     OracleSpec,
     PredictionOracle,
     QueryHistory,
+    QueryRecorder,
     check_prediction_bounds,
     infer_lipschitz,
     piecewise_prediction,
+    piecewise_predictions,
     refined_query,
     validate_oracle,
 )

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, Point, distance, origin
+from .geometry import Ball, Point, cumulative_lengths, origin
 from .nets import (
     CandidateCapExceeded,
     build_net,
@@ -146,16 +146,16 @@ def trace_to_csv(trace: SearchTrace) -> str:
     d = trace.dimension
     header = ["step", "j", "i"] + [f"x{k}" for k in range(d)] + ["lambda", "cum_length"]
     lines = [",".join(header)]
-    cum = 0.0
-    prev = None
-    for step, (vertex, lam, (j, i)) in enumerate(
-        zip(trace.vertices.vertices, trace.lambda_values, trace.phase_labels)
+    for step, (coords, lam, (j, i), cum) in enumerate(
+        zip(
+            trace.rows.tolist(),
+            trace.lambda_values,
+            trace.phase_labels,
+            cumulative_lengths(trace.rows).tolist(),
+        )
     ):
-        if prev is not None:
-            cum += distance(prev, vertex)
-        prev = vertex
         row = [str(step), str(j), str(i)]
-        row += [fmt12(x) for x in vertex.coords]
+        row += [fmt12(x) for x in coords]
         row += [fmt12(lam), fmt12(cum)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

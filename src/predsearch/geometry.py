@@ -1,4 +1,4 @@
-"""Elementary Euclidean geometry in R^d: points, balls, shells, polyline paths.
+"""Elementary Euclidean geometry in R^d: points, balls, polyline paths.
 
 Dimension is a runtime value, all reals are 64-bit floats, and every set
 membership test uses exact closed inequalities (no epsilon). All types are
@@ -11,16 +11,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 __all__ = [
     "Point",
     "Ball",
-    "SphericalShell",
     "PolyPath",
     "point",
     "origin",
     "distance",
     "contains",
-    "shell_contains",
+    "cumulative_lengths",
     "path_length",
 ]
 
@@ -74,23 +75,6 @@ class Ball:
 
 
 @dataclass(frozen=True)
-class SphericalShell:
-    """Closed shell {q : r_inner <= |center q| <= r_outer}."""
-
-    center: Point
-    r_inner: float
-    r_outer: float
-
-    def __post_init__(self):
-        r_inner = float(self.r_inner)
-        r_outer = float(self.r_outer)
-        if not (0.0 <= r_inner <= r_outer):
-            raise ValueError(f"need 0 <= r_inner <= r_outer, got {r_inner!r}, {r_outer!r}")
-        object.__setattr__(self, "r_inner", r_inner)
-        object.__setattr__(self, "r_outer", r_outer)
-
-
-@dataclass(frozen=True)
 class PolyPath:
     """Polyline through >= 1 vertices, all of the same dimension."""
 
@@ -139,15 +123,26 @@ def contains(ball: Ball, p: Point) -> bool:
     return distance(ball.center, p) <= ball.radius
 
 
-def shell_contains(shell: SphericalShell, p: Point) -> bool:
-    _check_same_dimension(shell.center, p)
-    return shell.r_inner <= distance(shell.center, p) <= shell.r_outer
+def cumulative_lengths(rows: np.ndarray) -> np.ndarray:
+    """Arc length at every vertex of the polyline through the rows of an
+    (n, d) array, starting with 0 at the first vertex.
+
+    Each segment accumulates its squared coordinate differences in order, as
+    :func:`distance` does, and the segments are summed left to right by
+    ``np.cumsum``, so every entry equals the running total of a scalar loop
+    over :func:`distance` bit for bit.
+    """
+    acc = np.zeros(max(len(rows) - 1, 0), dtype=np.float64)
+    for k in range(rows.shape[1]):
+        diff = rows[:-1, k] - rows[1:, k]
+        acc += diff * diff
+    return np.cumsum(np.concatenate(([0.0], np.sqrt(acc))))
 
 
-def path_length(path: PolyPath | Iterable[Point]) -> float:
-    """Total length of a polyline; a single vertex has length 0."""
-    vertices = path.vertices if isinstance(path, PolyPath) else tuple(path)
-    total = 0.0
-    for a, b in zip(vertices, vertices[1:]):
-        total += distance(a, b)
-    return total
+def path_length(path: PolyPath | np.ndarray | Iterable[Point]) -> float:
+    """Total length of a polyline given as a PolyPath, Points, or an (n, d)
+    array of vertex rows; a single vertex has length 0."""
+    if not isinstance(path, np.ndarray):
+        vertices = path.vertices if isinstance(path, PolyPath) else tuple(path)
+        path = np.array([v.coords for v in vertices], dtype=np.float64, ndmin=2)
+    return float(cumulative_lengths(path)[-1])

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import Ball, Point, distance, origin
+from .geometry import Ball, Point
 
 __all__ = [
     "Net",

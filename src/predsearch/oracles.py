@@ -23,7 +23,9 @@ __all__ = [
     "OracleSpec",
     "PredictionOracle",
     "QueryHistory",
+    "QueryRecorder",
     "piecewise_prediction",
+    "piecewise_predictions",
     "validate_oracle",
     "check_prediction_bounds",
     "infer_lipschitz",
@@ -99,26 +101,79 @@ def piecewise_prediction(target: Point, c: float, p: Point) -> float:
     return 2.0 * dist_o
 
 
-def _noise_factor(seed: int, coords: tuple[float, ...], lo: float, hi: float) -> float:
-    """Deterministic pseudo-random factor in [lo, hi), keyed on the exact
-    coordinate bit patterns."""
-    h = blake2b(digest_size=8, key=struct.pack("<q", seed))
-    h.update(struct.pack(f"<{len(coords)}d", *coords))
-    u = int.from_bytes(h.digest(), "little") / 2.0**64
-    return lo + (hi - lo) * u
+def piecewise_predictions(target: Point, c: float, rows: np.ndarray) -> np.ndarray:
+    """:func:`piecewise_prediction` at every row of an (n, d) array, bit for
+    bit: the distances come from ``dists_to`` and the cases keep their order."""
+    dist_t = dists_to(rows, target.coords)
+    dist_o = dists_to(rows, origin(target.dimension).coords)
+    outside = np.where(dist_o <= 0.5, 1.0, 2.0 * dist_o)
+    return np.where(dist_t <= 1.0 / c, c * dist_t, outside)
 
 
-class PredictionOracle:
+class QueryRecorder:
+    """Memo and query log shared by the prediction oracle and the adversary.
+
+    ``memo`` maps exact coordinates to the first value answered there, so
+    revisits agree. Every query, repeats included, is logged in order as a
+    coordinate tuple and a value; ``query_log`` builds a list of
+    ``(Point, value)`` pairs each time it is read.
+
+    ``query_rows(rows, stop, limit)`` is the batched protocol of the
+    contraction step: it queries the rows of an (n, d) array in order, stops
+    after the first value ``<= stop`` or after ``limit`` rows, and returns
+    the values queried. This default calls the subclass's own ``query`` on
+    each row.
+    """
+
+    def __init__(self):
+        self.memo: dict[tuple[float, ...], float] = {}
+        self._log_keys: list[tuple[float, ...]] = []
+        self._log_values: list[float] = []
+
+    @property
+    def query_count(self) -> int:
+        return len(self._log_values)
+
+    @property
+    def query_log(self) -> list[tuple[Point, float]]:
+        return list(zip(map(Point, self._log_keys), self._log_values))
+
+    def query_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every logged query as an (n, d) array of points and their values."""
+        rows = np.array(self._log_keys, dtype=np.float64).reshape(-1, self.dimension)
+        return rows, np.array(self._log_values, dtype=np.float64)
+
+    def _remember(self, key: tuple[float, ...], value: float) -> float:
+        """Log a query at ``key``; a value already memoized there wins."""
+        value = self.memo.setdefault(key, value)
+        self._log_keys.append(key)
+        self._log_values.append(value)
+        return value
+
+    def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
+        first = self.query_count
+        for row in rows[: max(limit, 0)]:
+            if self.query(Point(row.tolist())) <= stop:
+                break
+        return np.array(self._log_values[first:], dtype=np.float64)
+
+
+class PredictionOracle(QueryRecorder):
     """Queryable prediction source; owns the hidden target.
 
     Values are memoized on exact coordinates so revisits agree, and every
-    query (including repeats) is appended to ``query_log``.
+    query (including repeats) is appended to ``query_log``. Rows are
+    evaluated in bulk: distances come from ``dists_to`` and the seeded noise
+    hashes each row's little-endian float64 bytes, so every answer equals the
+    scalar formula at that point bit for bit.
     """
 
+    _FIRST_CHUNK = 16
+
     def __init__(self, spec: OracleSpec):
+        super().__init__()
         self.spec = spec
-        self.memo: dict[tuple[float, ...], float] = {}
-        self.query_log: list[tuple[Point, float]] = []
+        self._noise_hash = blake2b(digest_size=8, key=struct.pack("<q", spec.seed))
 
     @property
     def dimension(self) -> int:
@@ -128,34 +183,67 @@ class PredictionOracle:
     def c_factor(self) -> float:
         return self.spec.c_hi
 
-    @property
-    def query_count(self) -> int:
-        return len(self.query_log)
-
     def query(self, p: Point) -> float:
         if p.dimension != self.dimension:
             raise ValueError(f"query dimension {p.dimension} != oracle dimension {self.dimension}")
-        key = p.coords
-        value = self.memo.get(key)
+        value = self.memo.get(p.coords)
         if value is None:
-            value = self._evaluate(p)
-            self.memo[key] = value
-        self.query_log.append((p, value))
-        return value
+            spec = self.spec
+            if spec.kind == "piecewise_lower_bound":
+                value = piecewise_prediction(spec.target, spec.c_hi, p)
+            else:
+                raw = struct.pack(f"<{p.dimension}d", *p.coords)
+                value = float(self._scale(distance(p, spec.target), raw))
+        return self._remember(p.coords, value)
 
-    def _evaluate(self, p: Point) -> float:
+    def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
+        rows = np.ascontiguousarray(rows, dtype="<f8")
+        if rows.ndim != 2 or rows.shape[1] != self.dimension:
+            raise ValueError(f"query rows of shape {rows.shape} for dimension {self.dimension}")
+        limit = min(limit, len(rows))
+        first = self.query_count
+        start, size = 0, self._FIRST_CHUNK
+        # Doubling chunks: a walk often stops early, and the rows evaluated
+        # past the stopping row outnumber those before it by at most the
+        # first chunk.
+        while start < limit:
+            chunk = rows[start : min(start + size, limit)]
+            answers = zip(map(tuple, chunk.tolist()), self._evaluate(chunk).tolist())
+            if any(self._remember(key, value) <= stop for key, value in answers):
+                break
+            start += len(chunk)
+            size *= 2
+        return np.array(self._log_values[first:], dtype=np.float64)
+
+    def _evaluate(self, rows: np.ndarray) -> np.ndarray:
+        """Predictions at the rows of a C-contiguous float64 array; the
+        vector form of ``query``'s formulas, with the same operation order."""
         spec = self.spec
         if spec.kind == "piecewise_lower_bound":
-            return piecewise_prediction(spec.target, spec.c_hi, p)
-        dist = distance(p, spec.target)
-        if spec.kind == "exact":
-            return dist
+            return piecewise_predictions(spec.target, spec.c_hi, rows)
+        return self._scale(dists_to(rows, spec.target.coords), rows.tobytes())
+
+    def _scale(self, dist, raw: bytes):
+        """Predictions from the distances to the target (a float or an
+        array), for every kind but the piecewise one. ``raw`` holds the
+        points' little-endian float64 coordinates; the seeded noise hashes
+        each point's bytes into a draw u in [0, 1) and scales by a factor in
+        [c_lo, c_hi)."""
+        spec = self.spec
         if spec.kind == "affine":
             return spec.alpha * dist
         if spec.kind == "midpoint_open":
             return (1.0 + spec.c_hi) / 2.0 * dist
-        # seeded_noise
-        return _noise_factor(spec.seed, p.coords, spec.c_lo, spec.c_hi) * dist
+        if spec.kind == "exact":
+            return dist
+        width = 8 * spec.dimension
+        digests = []
+        for at in range(0, len(raw), width):
+            h = self._noise_hash.copy()
+            h.update(raw[at : at + width])
+            digests.append(h.digest())
+        u = np.frombuffer(b"".join(digests), dtype="<u8").reshape(np.shape(dist)) / 2.0**64
+        return (spec.c_lo + (spec.c_hi - spec.c_lo) * u) * dist
 
 
 def check_prediction_bounds(

@@ -12,7 +12,7 @@ the target is recovered directly by trilateration from d+1 readings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class StrategyConfig:
             raise ValueError("max_queries must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepOutcome:
     """Result of one contraction step.
 
@@ -85,13 +85,38 @@ class StepOutcome:
     variant "guess_too_small": the whole net failed; the walk returned to its
     starting point. The segment always starts at the step's base point and
     stays inside B(base, lam).
+
+    ``rows`` holds the queried net points in walk order and ``values`` their
+    answers; ``segment_rows`` is the walked polyline. ``next_point``,
+    ``segment`` and ``queries`` are Point views built on first access.
     """
 
     variant: str
-    next_point: Point | None
-    next_value: float | None
-    segment: PolyPath
-    queries: tuple[tuple[Point, float], ...]
+    base: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+    @cached_property
+    def segment_rows(self) -> np.ndarray:
+        base = self.base[None, :]
+        tail = base[:0] if self.variant == "advanced" else base
+        return np.concatenate((base, self.rows, tail))
+
+    @property
+    def next_point(self) -> Point | None:
+        return Point(self.rows[-1].tolist()) if self.variant == "advanced" else None
+
+    @property
+    def next_value(self) -> float | None:
+        return float(self.values[-1]) if self.variant == "advanced" else None
+
+    @cached_property
+    def segment(self) -> PolyPath:
+        return PolyPath(tuple(map(Point, self.segment_rows.tolist())))
+
+    @cached_property
+    def queries(self) -> tuple[tuple[Point, float], ...]:
+        return tuple(zip(map(Point, self.rows.tolist()), self.values.tolist()))
 
 
 @dataclass(frozen=True)
@@ -108,12 +133,14 @@ class StepRecord:
     advanced: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchTrace:
-    """Full record of a search: the polyline, per-vertex prediction values and
-    (doubling index j, contraction index i) labels, and per-step summaries."""
+    """Full record of a search: the polyline as an (n, d) array of vertex
+    rows, per-vertex prediction values and (doubling index j, contraction
+    index i) labels, and per-step summaries. ``vertices`` and ``final_point``
+    are Point views built on first access."""
 
-    vertices: PolyPath
+    rows: np.ndarray
     lambda_values: tuple[float, ...]
     phase_labels: tuple[tuple[int, int], ...]
     total_length: float
@@ -122,17 +149,21 @@ class SearchTrace:
     steps: tuple[StepRecord, ...]
 
     def __post_init__(self):
-        n = len(self.vertices)
-        if len(self.lambda_values) != n or len(self.phase_labels) != n:
-            raise ValueError("per-vertex fields must match the vertex count")
+        n = len(self.rows)
+        if n == 0 or len(self.lambda_values) != n or len(self.phase_labels) != n:
+            raise ValueError("per-vertex fields must match a nonzero vertex count")
 
     @property
     def dimension(self) -> int:
-        return self.vertices.dimension
+        return self.rows.shape[1]
+
+    @cached_property
+    def vertices(self) -> PolyPath:
+        return PolyPath(tuple(map(Point, self.rows.tolist())))
 
     @property
     def final_point(self) -> Point:
-        return self.vertices.vertices[-1]
+        return Point(self.rows[-1].tolist())
 
     @property
     def final_lambda(self) -> float:
@@ -175,7 +206,10 @@ def one_step(
     and walks it in greedy nearest-neighbor order, querying each point. Stops
     at the first point q with lambda(q) <= lambda_i/2 ("advanced"); if the
     net is exhausted, returns to p_i ("guess_too_small"), which certifies
-    that the true prediction factor exceeds c_guess.
+    that the true prediction factor exceeds c_guess. The net rows go to the
+    oracle in one ``query_rows`` call. With a ``query_limit``, a walk that
+    needs more queries raises QueryBudgetExceeded once the oracle has
+    answered exactly ``query_limit`` queries in all.
     """
     if not lambda_i > 0.0:
         raise ValueError(f"lambda_i must be > 0, got {lambda_i!r}")
@@ -187,41 +221,42 @@ def one_step(
     pts = walk * lambda_i + base
     # Keep closed ball membership exact under the affine map.
     pts = pts[dists_to(pts, p_i.coords) <= lambda_i]
-    half = lambda_i / 2.0
-    vertices = [p_i]
-    queries: list[tuple[Point, float]] = []
-    for row in pts:
-        q = Point(tuple(row))
-        if query_limit is not None and oracle.query_count >= query_limit:
-            raise QueryBudgetExceeded(f"query limit {query_limit} reached during a step")
-        value = oracle.query(q)
-        vertices.append(q)
-        queries.append((q, value))
-        if value <= half:
-            return StepOutcome("advanced", q, value, PolyPath(tuple(vertices)), tuple(queries))
-    vertices.append(p_i)
-    return StepOutcome("guess_too_small", None, None, PolyPath(tuple(vertices)), tuple(queries))
+    if not np.isfinite(pts).all():
+        raise ValueError(f"non-finite net point in B({p_i.coords!r}, {lambda_i!r})")
+    limit = len(pts)
+    if query_limit is not None:
+        limit = max(0, min(limit, query_limit - oracle.query_count))
+    values = oracle.query_rows(pts, lambda_i / 2.0, limit)
+    n = len(values)
+    if n > 0 and values[-1] <= lambda_i / 2.0:
+        return StepOutcome("advanced", base, pts[:n].copy(), values)
+    if n < len(pts):
+        raise QueryBudgetExceeded(f"query limit {query_limit} reached during a step")
+    return StepOutcome("guess_too_small", base, pts, values)
 
 
 class _TraceBuilder:
     def __init__(self, start: Point, start_value: float, label: tuple[int, int]):
-        self.vertices = [start]
-        self.lambdas = [start_value]
-        self.labels = [label]
+        self.chunks: list[np.ndarray] = []
+        self.lambdas: list[float] = []
+        self.labels: list[tuple[int, int]] = []
         self.steps: list[StepRecord] = []
+        self.extend([start.coords], [start_value], label)
 
-    def extend(self, points, values, label):
-        self.vertices.extend(points)
+    def extend(self, rows, values, label):
+        """Append vertex rows (an (n, d) array or a list of coordinate
+        tuples) with their prediction values under one phase label."""
+        self.chunks.append(np.asarray(rows, dtype=np.float64))
         self.lambdas.extend(values)
-        self.labels.extend([label] * len(points))
+        self.labels.extend([label] * len(values))
 
     def freeze(self, reached: bool, doublings: int | None) -> SearchTrace:
-        path = PolyPath(tuple(self.vertices))
+        rows = np.concatenate(self.chunks)
         return SearchTrace(
-            vertices=path,
+            rows=rows,
             lambda_values=tuple(self.lambdas),
             phase_labels=tuple(self.labels),
-            total_length=path_length(path),
+            total_length=path_length(rows),
             reached=reached,
             doublings=doublings,
             steps=tuple(self.steps),
@@ -247,36 +282,32 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
         if config.snap_integral and lam < 0.5:
             snapped = _snap_to_integer(p)
             value = oracle.query(snapped)
-            builder.extend([snapped], [value], (j, i))
+            builder.extend([snapped.coords], [value], (j, i))
             p, lam = snapped, value
             reached = value == 0.0 or value <= config.delta_stop
             break
         guess = float(2**j) if doubling else config.c_guess
         outcome = one_step(p, lam, guess, oracle, query_limit=config.max_queries)
-        seg_length = path_length(outcome.segment)
+        seg_length = path_length(outcome.segment_rows)
+        values = outcome.values.tolist()
         if outcome.variant == "advanced":
-            walk = outcome.queries
-            builder.extend([q for q, _ in walk[:-1]], [v for _, v in walk[:-1]], (j, i))
-            builder.extend([walk[-1][0]], [walk[-1][1]], (j, i + 1))
+            builder.extend(outcome.rows[:-1], values[:-1], (j, i))
+            builder.extend(outcome.rows[-1:], values[-1:], (j, i + 1))
             builder.steps.append(
-                StepRecord(j, i + 1, guess, lam, outcome.next_value, seg_length, len(walk), True)
+                StepRecord(j, i + 1, guess, lam, values[-1], seg_length, len(values), True)
             )
-            p, lam = outcome.next_point, outcome.next_value
+            p, lam = outcome.next_point, values[-1]
             i += 1
         else:
-            builder.extend(
-                [q for q, _ in outcome.queries], [v for _, v in outcome.queries], (j, i)
-            )
-            builder.steps.append(
-                StepRecord(j, i, guess, lam, lam, seg_length, len(outcome.queries), False)
-            )
+            builder.extend(outcome.rows, values, (j, i))
+            builder.steps.append(StepRecord(j, i, guess, lam, lam, seg_length, len(values), False))
             if not doubling:
                 raise GuessTooSmallError(
                     f"guess c={config.c_guess} exhausted a net without halving: "
                     f"the oracle's true factor exceeds it"
                 )
             j += 1
-            builder.extend([p], [lam], (j, i))
+            builder.extend([p.coords], [lam], (j, i))
     return builder.freeze(reached, j if doubling else None)
 
 
@@ -342,10 +373,10 @@ def search_exact(oracle, config: StrategyConfig) -> SearchTrace:
         probe = Point(tuple(coords))
         value = oracle.query(probe)
         readings.append((probe, value))
-        builder.extend([probe, o], [value, lam0], (0, 0))
+        builder.extend([probe.coords, o.coords], [value, lam0], (0, 0))
     target_estimate = trilaterate(readings, d)
     final_value = oracle.query(target_estimate)
-    builder.extend([target_estimate], [final_value], (0, 1))
+    builder.extend([target_estimate.coords], [final_value], (0, 1))
     reached = final_value <= max(config.delta_stop, 1e-9 * lam0)
     return builder.freeze(reached=reached, doublings=None)
 

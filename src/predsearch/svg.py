@@ -26,8 +26,8 @@ def render_svg(
     if trace.dimension != 2:
         raise ValueError("SVG rendering is only available for d = 2")
 
-    xs = [v.coords[0] for v in trace.vertices.vertices]
-    ys = [v.coords[1] for v in trace.vertices.vertices]
+    xs = trace.rows[:, 0].tolist()
+    ys = trace.rows[:, 1].tolist()
     extra: list[tuple[float, float, float]] = []  # (x, y, pad)
     if target is not None:
         extra.append((target.coords[0], target.coords[1], 0.0))

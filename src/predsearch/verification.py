@@ -11,14 +11,14 @@ committed target's function reproduces the answers bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Ball, Point, PolyPath, distance, origin
 from .nets import DEFAULT_CANDIDATE_CAP, points_as_array, separated_set
-from .oracles import piecewise_prediction
+from .oracles import QueryRecorder, piecewise_prediction, piecewise_predictions
 from .strategies import SearchTrace, StrategyConfig, step_length_bound
 
 __all__ = [
@@ -83,14 +83,17 @@ def doubling_cap(c: float) -> int:
     return max(1, math.ceil(math.log2(c))) if c > 1.0 else 1
 
 
-class AdversarialInstance:
+class AdversarialInstance(QueryRecorder):
     """Adaptive adversary over a separated family of candidate targets.
 
-    Presents the oracle interface used by the strategies (query, query_count,
-    dimension, c_factor). Mutable single-owner state: one instance per run.
+    Presents the oracle interface used by the strategies (query, query_rows,
+    query_count, dimension, c_factor). Mutable single-owner state: one
+    instance per run, and ``query_rows`` answers its rows one ``query`` at a
+    time, in order.
     """
 
     def __init__(self, c: float, targets: tuple[Point, ...]):
+        super().__init__()
         if c <= 4.0:
             raise ValueError("the adversarial construction needs c > 4")
         if len(targets) == 0:
@@ -100,8 +103,7 @@ class AdversarialInstance:
         self.targets = tuple(targets)
         self.ball_radius = 1.0 / self.c
         self.live: list[int] = list(range(len(targets)))
-        self.memo: dict[tuple[float, ...], float] = {}
-        self.query_log: list[tuple[Point, float]] = []
+        self._origin = origin(self.d)
 
     @property
     def dimension(self) -> int:
@@ -110,10 +112,6 @@ class AdversarialInstance:
     @property
     def c_factor(self) -> float:
         return self.c
-
-    @property
-    def query_count(self) -> int:
-        return len(self.query_log)
 
     @property
     def committed(self) -> Point | None:
@@ -125,13 +123,8 @@ class AdversarialInstance:
     def query(self, p: Point) -> float:
         if p.dimension != self.d:
             raise ValueError(f"query dimension {p.dimension} != instance dimension {self.d}")
-        key = p.coords
-        value = self.memo.get(key)
-        if value is None:
-            value = self._answer(p)
-            self.memo[key] = value
-        self.query_log.append((p, value))
-        return value
+        value = self.memo.get(p.coords)
+        return self._remember(p.coords, self._answer(p) if value is None else value)
 
     def _answer(self, p: Point) -> float:
         if len(self.live) > 1:
@@ -142,7 +135,7 @@ class AdversarialInstance:
         if len(self.live) == 1:
             return piecewise_prediction(self.targets[self.live[0]], self.c, p)
         # Common value shared by every live candidate's prediction function.
-        dist_o = distance(p, origin(self.d))
+        dist_o = distance(p, self._origin)
         return 1.0 if dist_o <= 0.5 else 2.0 * dist_o
 
 
@@ -172,15 +165,15 @@ def replay_consistent(instance: AdversarialInstance) -> bool:
     committed = instance.committed
     if committed is None:
         return False
-    return all(
-        piecewise_prediction(committed, instance.c, p) == v for p, v in instance.query_log
-    )
+    rows, values = instance.query_arrays()
+    return bool(np.array_equal(piecewise_predictions(committed, instance.c, rows), values))
 
 
-def count_visited_balls(path: PolyPath, centers, radius: float) -> int:
+def count_visited_balls(path: PolyPath | np.ndarray, centers, radius: float) -> int:
     """How many of the balls the polyline's interior-distance reaches:
-    a ball counts when some segment passes strictly inside it."""
-    verts = points_as_array(path.vertices)
+    a ball counts when some segment passes strictly inside it. The polyline
+    is a PolyPath or an (n, d) array of vertex rows."""
+    verts = path if isinstance(path, np.ndarray) else points_as_array(path.vertices)
     if len(verts) == 1:
         starts = verts
         ends = verts
@@ -202,7 +195,7 @@ def count_visited_balls(path: PolyPath, centers, radius: float) -> int:
     return visited
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentReport:
     """Audited outcome of one search run, with every applicable bound."""
 
@@ -231,31 +224,7 @@ class ExperimentReport:
     violations: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "d": self.d,
-            "c": self.c,
-            "total_length": self.total_length,
-            "dist_ot": self.dist_ot,
-            "ratio": self.ratio,
-            "degenerate": self.degenerate,
-            "reached": self.reached,
-            "queries": self.queries,
-            "doublings": self.doublings,
-            "bound_upper_known": self.bound_upper_known,
-            "bound_upper_unknown": self.bound_upper_unknown,
-            "bound_lower_corollary": self.bound_lower_corollary,
-            "doubling_cap": self.doubling_cap,
-            "step_bound_ok": self.step_bound_ok,
-            "worst_step_fraction": self.worst_step_fraction,
-            "worst_step_ideal_fraction": self.worst_step_ideal_fraction,
-            "n_targets": self.n_targets,
-            "balls_visited": self.balls_visited,
-            "tsp_floor": self.tsp_floor,
-            "path_floor": self.path_floor,
-            "combined_floor": self.combined_floor,
-            "violations": list(self.violations),
-        }
+        return {**dataclasses.asdict(self), "violations": list(self.violations)}
 
 
 def audit_trace(
@@ -322,9 +291,7 @@ def audit_trace(
     tsp_floor = path_floor = combined_floor = None
     if instance is not None:
         n_targets = len(instance.targets)
-        balls_visited = count_visited_balls(
-            trace.vertices, instance.targets, instance.ball_radius
-        )
+        balls_visited = count_visited_balls(trace.rows, instance.targets, instance.ball_radius)
         tsp_floor = tsp_ball_lower_bound(n_targets, instance.ball_radius, d)
         path_floor = adversarial_path_floor(instance.c, d)
         combined_floor = (

@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predsearch import (
     Ball,
     Point,
     PolyPath,
-    SphericalShell,
     contains,
+    cumulative_lengths,
     distance,
     origin,
     path_length,
     point,
-    shell_contains,
 )
 
 
@@ -55,21 +56,9 @@ def test_ball_validation():
     assert Ball(point(0, 0), 0.0).radius == 0.0
 
 
-def test_shell_validation():
-    with pytest.raises(ValueError):
-        SphericalShell(point(0, 0), 1.0, 0.5)
-
-
 def test_contains_boundary_closed():
     assert contains(Ball(point(0, 0), 1.0), point(1, 0))
     assert not contains(Ball(point(0, 0), 1.0), point(1.0000001, 0))
-
-
-def test_shell_contains():
-    shell = SphericalShell(point(0, 0), 0.5, 1.0)
-    assert not shell_contains(shell, point(0.25, 0))
-    assert shell_contains(shell, point(0.75, 0))
-    assert shell_contains(shell, point(0.5, 0))  # inner boundary closed
 
 
 def test_path_length_single_vertex():
@@ -120,3 +109,35 @@ def test_path_length_rigid_motion_invariant():
         base = path_length(PolyPath(tuple(Point(tuple(r)) for r in pts)))
         transformed = path_length(PolyPath(tuple(Point(tuple(r)) for r in moved)))
         assert transformed == pytest.approx(base, rel=1e-9)
+
+
+def _scalar_running_lengths(vertices):
+    totals = [0.0]
+    for a, b in zip(vertices, vertices[1:]):
+        totals.append(totals[-1] + distance(a, b))
+    return totals
+
+
+@st.composite
+def _vertex_rows(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([1e-9, 1.0, 1e6]))
+    coords = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * d, max_size=n * d))
+    return np.array(coords, dtype=np.float64).reshape(n, d) * scale
+
+
+@settings(deadline=None, max_examples=200)
+@given(_vertex_rows())
+def test_array_path_length_matches_point_loop_bit_for_bit(rows):
+    vertices = [Point(tuple(r)) for r in rows]
+    totals = _scalar_running_lengths(vertices)
+    # Left-to-right sums: no pairwise (np.sum) or compensated (fsum) order.
+    assert cumulative_lengths(rows).tolist() == totals
+    assert path_length(rows) == totals[-1]
+    assert path_length(PolyPath(tuple(vertices))) == totals[-1]
+    assert path_length(vertices) == totals[-1]
+
+
+def test_path_length_of_no_vertices():
+    assert path_length([]) == 0.0

@@ -1,7 +1,13 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predsearch import (
+    ORACLE_KINDS,
     Ball,
     OracleSpec,
     Point,
@@ -12,6 +18,7 @@ from predsearch import (
     infer_lipschitz,
     origin,
     piecewise_prediction,
+    piecewise_predictions,
     point,
     refined_query,
     sample_in_ball,
@@ -204,3 +211,114 @@ def test_refined_query_still_valid_prediction():
         history.add(p, oracle.query(p))
     refined = lambda p: refined_query(oracle, history, p)
     assert check_prediction_bounds(refined, t, 1.0, 8.0, probes=1000, radius=3.0, seed=13)
+
+
+# --- Batched queries against the scalar formulas ----------------------------
+
+
+def _reference_value(spec, p):
+    """One point's prediction by the scalar formulas: a fresh keyed blake2b
+    over struct-packed coordinates for the seeded noise."""
+    if spec.kind == "piecewise_lower_bound":
+        return piecewise_prediction(spec.target, spec.c_hi, p)
+    dist = distance(p, spec.target)
+    if spec.kind == "exact":
+        return dist
+    if spec.kind == "affine":
+        return spec.alpha * dist
+    if spec.kind == "midpoint_open":
+        return (1.0 + spec.c_hi) / 2.0 * dist
+    h = hashlib.blake2b(digest_size=8, key=struct.pack("<q", spec.seed))
+    h.update(struct.pack(f"<{len(p.coords)}d", *p.coords))
+    u = int.from_bytes(h.digest(), "little") / 2.0**64
+    return (spec.c_lo + (spec.c_hi - spec.c_lo) * u) * dist
+
+
+def _reference_rows(spec, rows, stop, limit):
+    """query_rows by single queries: (values, memo, log) of the prefix."""
+    memo, log = {}, []
+    for row in rows[:limit]:
+        p = Point(tuple(row))
+        value = memo.setdefault(p.coords, _reference_value(spec, p))
+        log.append((p.coords, value))
+        if value <= stop:
+            break
+    return [v for _, v in log], memo, log
+
+
+_coordinate = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _row_batches(draw):
+    d = draw(st.integers(1, 3))
+    distinct = draw(st.lists(st.lists(_coordinate, min_size=d, max_size=d), min_size=1, max_size=8))
+    # Repeats (and sign-of-zero twins) land in and across evaluation chunks.
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=70))
+    return np.array([distinct[k] for k in picks], dtype=np.float64).reshape(len(picks), d)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    kind=st.sampled_from(ORACLE_KINDS),
+    rows=_row_batches(),
+    stop_q=st.floats(0.0, 1.0),
+    limit=st.integers(0, 80),
+    seed=st.integers(-(2**63), 2**63 - 1),
+)
+def test_query_rows_matches_scalar_reference(kind, rows, stop_q, limit, seed):
+    d = rows.shape[1]
+    target = Point((0.1, -0.2, 0.05)[:d])
+    spec = OracleSpec(
+        kind=kind, target=target, c_hi=8.0, c_lo=0.25, seed=seed,
+        alpha=3.0 if kind == "affine" else None,
+    )
+    values, memo, log = _reference_rows(spec, rows, -np.inf, len(rows))
+    stop = float(np.quantile(values, stop_q))
+    values, memo, log = _reference_rows(spec, rows, stop, limit)
+    oracle = PredictionOracle(spec)
+    got = oracle.query_rows(rows, stop, limit)
+    assert repr(got.tolist()) == repr(values)
+    assert repr(list(oracle.memo.items())) == repr(list(memo.items()))
+    assert repr([(p.coords, v) for p, v in oracle.query_log]) == repr(log)
+    assert oracle.query_count == len(log)
+    # Single queries go through the scalar path and agree with the rows.
+    single = PredictionOracle(spec)
+    assert repr([single.query(Point(tuple(r))) for r in rows[: len(values)]]) == repr(
+        [v for _, v in _reference_rows(spec, rows, -np.inf, len(values))[2]]
+    )
+
+
+def test_query_rows_stops_after_first_value_at_or_below_stop():
+    oracle = make_oracle("exact", point(0.0))
+    rows = np.array([[5.0], [3.0], [2.0], [1.0], [2.0]])
+    assert oracle.query_rows(rows, 2.0, 5).tolist() == [5.0, 3.0, 2.0]
+    assert sorted(oracle.memo) == [(2.0,), (3.0,), (5.0,)]
+    assert oracle.query_rows(rows, -1.0, 2).tolist() == [5.0, 3.0]
+    assert oracle.query_count == 5
+    with pytest.raises(ValueError):
+        oracle.query_rows(np.zeros((2, 2)), 0.0, 2)
+
+
+def test_noise_draw_conversion_matches_python_division():
+    # The batched noise turns uint64 digests into floats with numpy; the
+    # scalar formula divides a Python int. Both must round the same way,
+    # ties to even included.
+    cases = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63, 2**64 - 1, 2**64 - 1024]
+    cases += [(2**52 + k) << 11 | r for k in (0, 1, 2) for r in (0x3FF, 0x400, 0x401)]
+    rng = np.random.default_rng(0)
+    cases += [int(x) for x in rng.integers(0, 2**64 - 1, size=2000, dtype=np.uint64)]
+    got = np.array(cases, dtype=np.uint64) / 2.0**64
+    assert got.tolist() == [x / 2.0**64 for x in cases]
+
+
+@settings(deadline=None)
+@given(
+    rows=_row_batches(),
+    c=st.floats(2.1, 64.0),
+)
+def test_piecewise_predictions_match_scalar(rows, c):
+    target = Point((0.1, -0.2, 0.05)[: rows.shape[1]])
+    got = piecewise_predictions(target, c, rows)
+    want = [piecewise_prediction(target, c, Point(tuple(r))) for r in rows]
+    assert got.tolist() == want

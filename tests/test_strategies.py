@@ -1,9 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predsearch import (
+    ORACLE_KINDS,
+    AdversarialInstance,
     GuessTooSmallError,
     OracleSpec,
     Point,
@@ -22,6 +27,9 @@ from predsearch import (
     step_length_bound,
     trilaterate,
 )
+from predsearch.cli import main
+from predsearch.nets import DEFAULT_CANDIDATE_CAP, dists_to
+from predsearch.strategies import _unit_walk
 
 
 def make_oracle(kind, target, c=1.0, c_lo=1.0, seed=0):
@@ -313,3 +321,149 @@ def test_kind_dispatch_guards():
         search_unknown_c(oracle, StrategyConfig(kind="known_c"))
     with pytest.raises(ValueError):
         search_exact(oracle, StrategyConfig(kind="known_c"))
+
+
+# --- Array-native step against the per-Point reference ---------------------
+
+
+def _reference_step(p_i, lambda_i, c_guess, oracle, query_limit=None):
+    """The per-Point contraction step: build a Point per net row and query it
+    alone. Returns (variant, segment vertices, queries)."""
+    walk = _unit_walk(p_i.dimension, 1.0 / (2.0 * c_guess), DEFAULT_CANDIDATE_CAP)
+    pts = walk * lambda_i + np.array(p_i.coords, dtype=np.float64)
+    pts = pts[dists_to(pts, p_i.coords) <= lambda_i]
+    vertices = [p_i]
+    queries = []
+    for row in pts:
+        q = Point(tuple(row))
+        if query_limit is not None and oracle.query_count >= query_limit:
+            raise QueryBudgetExceeded(f"query limit {query_limit} reached during a step")
+        value = oracle.query(q)
+        vertices.append(q)
+        queries.append((q, value))
+        if value <= lambda_i / 2.0:
+            return "advanced", vertices, queries
+    vertices.append(p_i)
+    return "guess_too_small", vertices, queries
+
+
+def _reference_length(vertices):
+    total = 0.0
+    for a, b in zip(vertices, vertices[1:]):
+        total += distance(a, b)
+    return total
+
+
+def _bits(pairs):
+    """repr keeps every float bit, -0.0 included."""
+    return repr([(tuple(k.coords) if isinstance(k, Point) else k, v) for k, v in pairs])
+
+
+_ADVERSARY_TARGETS = ((0.05, 0.1, -0.1), (-0.2, 0.0, 0.05), (0.1, -0.15, 0.0))
+
+
+def _fresh_oracle(kind, target, seed):
+    if kind == "adversary":
+        d = target.dimension
+        return AdversarialInstance(8.0, tuple(Point(t[:d]) for t in _ADVERSARY_TARGETS))
+    if kind == "piecewise_lower_bound":
+        return make_oracle(kind, target, c=8.0)
+    return make_oracle(kind, target, c=4.0, c_lo=0.5, seed=seed)
+
+
+_coordinate = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-0.3, 0.3))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(ORACLE_KINDS + ("adversary",)),
+    base=st.integers(1, 3).flatmap(lambda d: st.lists(_coordinate, min_size=d, max_size=d)),
+    lam=st.floats(0.02, 1.5),
+    c_guess=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    seed=st.integers(0, 2**31),
+)
+def test_one_step_matches_per_point_reference(kind, base, lam, c_guess, seed):
+    target = Point((0.11, -0.07, 0.05)[: len(base)])
+    p0 = Point(tuple(base))
+    ref_oracle = _fresh_oracle(kind, target, seed)
+    new_oracle = _fresh_oracle(kind, target, seed)
+    # Query the base first, as a search does: the step's centre row then
+    # hits the memo, under a key that may differ from the base's in the sign
+    # of a zero.
+    assert ref_oracle.query(p0) == new_oracle.query(p0)
+    for _ in range(2):  # the second pass answers from the memo
+        variant, vertices, queries = _reference_step(p0, lam, c_guess, ref_oracle)
+        outcome = one_step(p0, lam, c_guess, new_oracle)
+        assert outcome.variant == variant
+        assert _bits(outcome.queries) == _bits(queries)
+        assert outcome.rows.tolist() == [list(q.coords) for q, _ in queries]
+        assert outcome.values.tolist() == [v for _, v in queries]
+        assert [v.coords for v in outcome.segment.vertices] == [v.coords for v in vertices]
+        assert path_length(outcome.segment_rows) == _reference_length(vertices)
+        if variant == "advanced":
+            assert outcome.next_point == queries[-1][0]
+            assert outcome.next_value == queries[-1][1]
+    assert _bits(new_oracle.query_log) == _bits(ref_oracle.query_log)
+    assert _bits(new_oracle.memo.items()) == _bits(ref_oracle.memo.items())
+    assert new_oracle.query_count == ref_oracle.query_count
+
+
+@pytest.mark.parametrize("kind", ["piecewise_lower_bound", "adversary"])
+@pytest.mark.parametrize("spare", [0, 1, 2, 5])
+def test_query_limit_mid_step_logs_exactly_the_limit(kind, spare):
+    # Both oracles make the guess-1 step from o walk its whole net, so a
+    # limit below the net size runs out in the middle of the step.
+    p0 = origin(2)
+    ref_oracle = _fresh_oracle(kind, STUBBORN_TARGET, 3)
+    new_oracle = _fresh_oracle(kind, STUBBORN_TARGET, 3)
+    assert one_step(p0, 1.0, 1.0, _fresh_oracle(kind, STUBBORN_TARGET, 3)).values.size > 6
+    for oracle in (ref_oracle, new_oracle):
+        oracle.query(p0)
+    limit = 1 + spare
+    with pytest.raises(QueryBudgetExceeded):
+        _reference_step(p0, 1.0, 1.0, ref_oracle, query_limit=limit)
+    with pytest.raises(QueryBudgetExceeded):
+        one_step(p0, 1.0, 1.0, new_oracle, query_limit=limit)
+    assert new_oracle.query_count == limit
+    assert len(new_oracle.query_log) == limit
+    assert _bits(new_oracle.query_log) == _bits(ref_oracle.query_log)
+    assert _bits(new_oracle.memo.items()) == _bits(ref_oracle.memo.items())
+
+
+def test_query_limit_reached_on_the_stopping_row_still_advances():
+    oracle = make_oracle("exact", point(0.3, -0.2))
+    lam0 = oracle.query(origin(2))
+    free = one_step(origin(2), lam0, 2.0, make_oracle("exact", point(0.3, -0.2)))
+    limit = 1 + len(free.values)
+    outcome = one_step(origin(2), lam0, 2.0, oracle, query_limit=limit)
+    assert outcome.variant == "advanced"
+    assert oracle.query_count == limit
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_one_step_rejects_non_finite_net_rows():
+    oracle = make_oracle("exact", point(1.0, 0.0))
+    with pytest.raises(ValueError):
+        one_step(origin(2), math.inf, 1.0, oracle)
+    assert oracle.query_count == 0
+
+
+def test_search_trace_views_match_rows():
+    oracle = make_oracle("seeded_noise", point(0.6, -0.8), c=4.0, seed=2)
+    trace = search_unknown_c(oracle, StrategyConfig(kind="unknown_c", delta_stop=1e-3))
+    assert [v.coords for v in trace.vertices.vertices] == [tuple(r) for r in trace.rows.tolist()]
+    assert trace.final_point.coords == tuple(trace.rows[-1].tolist())
+    assert trace.dimension == 2
+    assert trace.total_length == _reference_length(trace.vertices.vertices)
+
+
+# Recorded with the per-Point step (Point-built net rows, scalar distance and
+# path length, one keyed blake2b per query).
+_SMALL_SWEEP_DIGEST = "5aeef52cda84ee870f4e256aa4989a5f"
+
+
+def test_small_sweep_csv_digest_is_pinned(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--d", "1", "2", "--c", "2", "4", "--trials", "3", "--seed", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.blake2b(out.read_bytes(), digest_size=16).hexdigest() == _SMALL_SWEEP_DIGEST

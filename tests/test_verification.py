@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from predsearch import (
@@ -252,3 +254,30 @@ def test_audit_known_run_within_bound():
     assert report.ratio <= 576.0
     assert report.step_bound_ok
     assert not report.violations
+
+
+def test_count_visited_balls_reads_vertex_rows():
+    centers = [point(0.0, 0.0), point(1.0, 0.0), point(2.0, 0.0)]
+    for path in (
+        PolyPath((point(-1.0, 0.05), point(1.2, 0.05))),
+        PolyPath((point(0.5, -1.0), point(0.5, 1.0), point(2.0, 0.3))),
+        PolyPath((point(0.0, 0.0),)),
+    ):
+        rows = np.array([v.coords for v in path.vertices])
+        assert count_visited_balls(rows, centers, 0.25) == count_visited_balls(path, centers, 0.25)
+
+
+def test_replay_consistent_detects_a_changed_answer():
+    instance, _, _ = _run_lowerbound(16.0, 2)
+    assert replay_consistent(instance)
+    # One answer off by one ulp must fail the bit-exact replay.
+    instance._log_values[-1] = math.nextafter(instance._log_values[-1], math.inf)
+    assert not replay_consistent(instance)
+
+
+def test_report_dict_keeps_field_order():
+    _, _, report = _run_lowerbound(16.0, 2)
+    payload = report.to_dict()
+    assert list(payload) == [f.name for f in dataclasses.fields(report)]
+    assert payload["violations"] == list(report.violations)
+    assert isinstance(payload["violations"], list)
