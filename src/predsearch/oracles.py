@@ -121,8 +121,9 @@ class QueryRecorder:
     ``query_rows(rows, stop, limit)`` is the batched protocol of the
     contraction step: it queries the rows of an (n, d) array in order, stops
     after the first value ``<= stop`` or after ``limit`` rows, and returns
-    the values queried. This default calls the subclass's own ``query`` on
-    each row.
+    the values queried. It rejects a batch with a non-finite row before
+    logging anything; ``_query_prefix`` then answers the rows, by default
+    one ``query`` call per row.
     """
 
     def __init__(self):
@@ -151,11 +152,20 @@ class QueryRecorder:
         return value
 
     def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
+        rows = np.ascontiguousarray(rows, dtype="<f8")
+        if rows.ndim != 2 or rows.shape[1] != self.dimension:
+            raise ValueError(f"query rows of shape {rows.shape} for dimension {self.dimension}")
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite coordinate in the query rows")
         first = self.query_count
-        for row in rows[: max(limit, 0)]:
+        self._query_prefix(rows[: max(limit, 0)], stop)
+        return np.array(self._log_values[first:], dtype=np.float64)
+
+    def _query_prefix(self, rows: np.ndarray, stop: float) -> None:
+        """Query the rows in order until a value ``<= stop``."""
+        for row in rows:
             if self.query(Point(row.tolist())) <= stop:
                 break
-        return np.array(self._log_values[first:], dtype=np.float64)
 
 
 class PredictionOracle(QueryRecorder):
@@ -165,7 +175,8 @@ class PredictionOracle(QueryRecorder):
     query (including repeats) is appended to ``query_log``. Rows are
     evaluated in bulk: distances come from ``dists_to`` and the seeded noise
     hashes each row's little-endian float64 bytes, so every answer equals the
-    scalar formula at that point bit for bit.
+    scalar formula at that point bit for bit. Where ``query`` is overridden
+    or wrapped, ``query_rows`` sends every row through it instead.
     """
 
     _FIRST_CHUNK = 16
@@ -193,27 +204,25 @@ class PredictionOracle(QueryRecorder):
                 value = piecewise_prediction(spec.target, spec.c_hi, p)
             else:
                 raw = struct.pack(f"<{p.dimension}d", *p.coords)
-                value = float(self._scale(distance(p, spec.target), raw))
+                value = self._scale(distance(p, spec.target), raw)
         return self._remember(p.coords, value)
 
-    def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
-        rows = np.ascontiguousarray(rows, dtype="<f8")
-        if rows.ndim != 2 or rows.shape[1] != self.dimension:
-            raise ValueError(f"query rows of shape {rows.shape} for dimension {self.dimension}")
-        limit = min(limit, len(rows))
-        first = self.query_count
+    def _query_prefix(self, rows: np.ndarray, stop: float) -> None:
+        if type(self).query is not _PREDICTION_QUERY:
+            # ``query`` is overridden or wrapped: it sees every row.
+            super()._query_prefix(rows, stop)
+            return
         start, size = 0, self._FIRST_CHUNK
         # Doubling chunks: a walk often stops early, and the rows evaluated
         # past the stopping row outnumber those before it by at most the
         # first chunk.
-        while start < limit:
-            chunk = rows[start : min(start + size, limit)]
+        while start < len(rows):
+            chunk = rows[start : start + size]
             answers = zip(map(tuple, chunk.tolist()), self._evaluate(chunk).tolist())
             if any(self._remember(key, value) <= stop for key, value in answers):
                 break
             start += len(chunk)
             size *= 2
-        return np.array(self._log_values[first:], dtype=np.float64)
 
     def _evaluate(self, rows: np.ndarray) -> np.ndarray:
         """Predictions at the rows of a C-contiguous float64 array; the
@@ -236,14 +245,22 @@ class PredictionOracle(QueryRecorder):
             return (1.0 + spec.c_hi) / 2.0 * dist
         if spec.kind == "exact":
             return dist
-        width = 8 * spec.dimension
-        digests = []
-        for at in range(0, len(raw), width):
+        if isinstance(dist, float):
             h = self._noise_hash.copy()
-            h.update(raw[at : at + width])
-            digests.append(h.digest())
-        u = np.frombuffer(b"".join(digests), dtype="<u8").reshape(np.shape(dist)) / 2.0**64
+            h.update(raw)
+            u = int.from_bytes(h.digest(), "little") / 2.0**64
+        else:
+            width = 8 * spec.dimension
+            digests = []
+            for at in range(0, len(raw), width):
+                h = self._noise_hash.copy()
+                h.update(raw[at : at + width])
+                digests.append(h.digest())
+            u = np.frombuffer(b"".join(digests), dtype="<u8") / 2.0**64
         return (spec.c_lo + (spec.c_hi - spec.c_lo) * u) * dist
+
+
+_PREDICTION_QUERY = PredictionOracle.query
 
 
 def check_prediction_bounds(

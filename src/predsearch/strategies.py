@@ -207,9 +207,10 @@ def one_step(
     at the first point q with lambda(q) <= lambda_i/2 ("advanced"); if the
     net is exhausted, returns to p_i ("guess_too_small"), which certifies
     that the true prediction factor exceeds c_guess. The net rows go to the
-    oracle in one ``query_rows`` call. With a ``query_limit``, a walk that
-    needs more queries raises QueryBudgetExceeded once the oracle has
-    answered exactly ``query_limit`` queries in all.
+    oracle in one ``query_rows`` call, which rejects a non-finite row before
+    any query. With a ``query_limit``, a walk that needs more queries raises
+    QueryBudgetExceeded once the oracle has answered exactly ``query_limit``
+    queries in all.
     """
     if not lambda_i > 0.0:
         raise ValueError(f"lambda_i must be > 0, got {lambda_i!r}")
@@ -221,8 +222,6 @@ def one_step(
     pts = walk * lambda_i + base
     # Keep closed ball membership exact under the affine map.
     pts = pts[dists_to(pts, p_i.coords) <= lambda_i]
-    if not np.isfinite(pts).all():
-        raise ValueError(f"non-finite net point in B({p_i.coords!r}, {lambda_i!r})")
     limit = len(pts)
     if query_limit is not None:
         limit = max(0, min(limit, query_limit - oracle.query_count))

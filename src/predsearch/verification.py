@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .geometry import Ball, Point, PolyPath, distance, origin
-from .nets import DEFAULT_CANDIDATE_CAP, points_as_array, separated_set
+from .geometry import Ball, Point, distance, origin
+from .nets import DEFAULT_CANDIDATE_CAP, separated_set
 from .oracles import QueryRecorder, piecewise_prediction, piecewise_predictions
 from .strategies import SearchTrace, StrategyConfig, step_length_bound
 
@@ -169,11 +169,9 @@ def replay_consistent(instance: AdversarialInstance) -> bool:
     return bool(np.array_equal(piecewise_predictions(committed, instance.c, rows), values))
 
 
-def count_visited_balls(path: PolyPath | np.ndarray, centers, radius: float) -> int:
-    """How many of the balls the polyline's interior-distance reaches:
-    a ball counts when some segment passes strictly inside it. The polyline
-    is a PolyPath or an (n, d) array of vertex rows."""
-    verts = path if isinstance(path, np.ndarray) else points_as_array(path.vertices)
+def count_visited_balls(verts: np.ndarray, centers, radius: float) -> int:
+    """How many of the balls the polyline through the (n, d) vertex rows
+    reaches: a ball counts when some segment passes strictly inside it."""
     if len(verts) == 1:
         starts = verts
         ends = verts

@@ -441,11 +441,58 @@ def test_query_limit_reached_on_the_stopping_row_still_advances():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_one_step_rejects_non_finite_net_rows():
-    oracle = make_oracle("exact", point(1.0, 0.0))
+@pytest.mark.parametrize("kind", ["exact", "seeded_noise", "adversary"])
+def test_query_rows_rejects_non_finite_rows(kind):
+    for bad in (math.nan, math.inf, -math.inf):
+        oracle = _fresh_oracle(kind, point(1.0, 0.0), 0)
+        rows = np.array([[0.1, 0.2], [bad, 0.0], [0.3, 0.1]])
+        with pytest.raises(ValueError):
+            oracle.query_rows(rows, -1.0, 3)
+        assert oracle.query_count == 0 and oracle.memo == {}
+    # The step hands its rows over unchecked; an infinite ball yields
+    # infinite rows, which the oracle refuses before any query.
+    oracle = _fresh_oracle(kind, point(1.0, 0.0), 0)
     with pytest.raises(ValueError):
         one_step(origin(2), math.inf, 1.0, oracle)
     assert oracle.query_count == 0
+
+
+class _ListeningOracle(PredictionOracle):
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.heard = []
+
+    def query(self, p):
+        self.heard.append(p.coords)
+        return super().query(p)
+
+
+@pytest.mark.parametrize("how", ["subclass", "wrapped"])
+def test_query_rows_sends_every_row_through_an_overridden_query(how, monkeypatch):
+    spec = OracleSpec(kind="seeded_noise", target=point(0.4, -0.3), c_hi=4.0, c_lo=0.5, seed=1)
+    p0 = origin(2)
+    plain = PredictionOracle(spec)
+    lam = plain.query(p0)
+    expected = one_step(p0, lam, 2.0, plain)
+    if how == "subclass":
+        oracle = _ListeningOracle(spec)
+        heard = oracle.heard
+    else:
+        heard = []
+        query = PredictionOracle.query
+
+        def wrapped(self, p):
+            heard.append(p.coords)
+            return query(self, p)
+
+        monkeypatch.setattr(PredictionOracle, "query", wrapped)
+        oracle = PredictionOracle(spec)
+    assert oracle.query(p0) == lam
+    outcome = one_step(p0, lam, 2.0, oracle)
+    assert heard == [p0.coords] + [tuple(r) for r in outcome.rows.tolist()]
+    assert outcome.variant == expected.variant
+    assert _bits(oracle.query_log) == _bits(plain.query_log)
+    assert _bits(oracle.memo.items()) == _bits(plain.memo.items())
 
 
 def test_search_trace_views_match_rows():

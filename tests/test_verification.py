@@ -8,7 +8,6 @@ import pytest
 from predsearch import (
     AdversarialInstance,
     Ball,
-    PolyPath,
     StrategyConfig,
     adversarial_path_floor,
     audit_trace,
@@ -27,6 +26,7 @@ from predsearch import (
     run_strategy,
     tsp_ball_lower_bound,
 )
+from predsearch.nets import points_as_array
 
 
 def test_tsp_floor_zero_cases():
@@ -182,17 +182,20 @@ def test_adversarial_instance_needs_targets():
 
 
 def test_count_visited_balls():
+    def rows(*points):
+        return points_as_array(points)
+
     centers = [point(0.0, 0.0), point(1.0, 0.0), point(2.0, 0.0)]
-    path = PolyPath((point(-1.0, 0.05), point(1.2, 0.05)))
+    path = rows(point(-1.0, 0.05), point(1.2, 0.05))
     # passes strictly inside the first two balls, misses the third
     assert count_visited_balls(path, centers, 0.1) == 2
     # a segment crossing a ball between vertices still counts
-    crossing = PolyPath((point(0.5, -1.0), point(0.5, 1.0)))
+    crossing = rows(point(0.5, -1.0), point(0.5, 1.0))
     assert count_visited_balls(crossing, [point(0.5, 0.0)], 0.25) == 1
     # tangent (distance exactly the radius) does not touch the interior
-    tangent = PolyPath((point(-1.0, 0.1), point(1.0, 0.1)))
+    tangent = rows(point(-1.0, 0.1), point(1.0, 0.1))
     assert count_visited_balls(tangent, [point(0.0, 0.0)], 0.1) == 0
-    single = PolyPath((point(0.0, 0.0),))
+    single = rows(point(0.0, 0.0))
     assert count_visited_balls(single, centers, 0.1) == 1
 
 
@@ -254,17 +257,6 @@ def test_audit_known_run_within_bound():
     assert report.ratio <= 576.0
     assert report.step_bound_ok
     assert not report.violations
-
-
-def test_count_visited_balls_reads_vertex_rows():
-    centers = [point(0.0, 0.0), point(1.0, 0.0), point(2.0, 0.0)]
-    for path in (
-        PolyPath((point(-1.0, 0.05), point(1.2, 0.05))),
-        PolyPath((point(0.5, -1.0), point(0.5, 1.0), point(2.0, 0.3))),
-        PolyPath((point(0.0, 0.0),)),
-    ):
-        rows = np.array([v.coords for v in path.vertices])
-        assert count_visited_balls(rows, centers, 0.25) == count_visited_balls(path, centers, 0.25)
 
 
 def test_replay_consistent_detects_a_changed_answer():
