@@ -372,7 +372,7 @@ def cmd_net(args) -> int:
         ok = ok and cover.ok and sep
     if args.dump is not None:
         header = ",".join(f"x{k}" for k in range(args.d))
-        lines = [header] + [",".join(fmt12(x) for x in p.coords) for p in net.points]
+        lines = [header] + [",".join(fmt12(x) for x in row) for row in net.rows.tolist()]
         _write(args.dump, "\n".join(lines) + "\n")
     return 0 if ok else 1
 

@@ -11,12 +11,12 @@ integer stencil of lattice indices around each kept point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import Ball, Point
 
@@ -38,45 +38,57 @@ __all__ = [
 
 DEFAULT_CANDIDATE_CAP = 5_000_000
 
-# KD-tree distances can differ from dists_to in the last ulps. The walk in
-# visit_order and the pair filter in check_separation widen tree radii by
-# this guard so that they never miss a point that dists_to would count.
+# A pair at dists_to distance below h / _BLOCK_GUARD lies in neighbouring
+# cells of side h (see _CellGrid): the guard absorbs the rounding of the
+# cell coordinates. It also makes the lattice greedy's integer stencil block
+# within separation * _BLOCK_GUARD.
 _BLOCK_GUARD = 1.0 + 1e-9
 
 # Nearest neighbours kept per point for the greedy walk. More neighbours
 # make fewer steps fall back to a scan, at n * 16 bytes each.
 _WALK_NEIGHBORS = 8
 
+# Cell grid sizes, as average rows per 3^d block for the walk's neighbour
+# lists and per cell for the covering check's first pass, and the candidate
+# pairs per grid lookup.
+_WALK_BLOCK_ROWS = 27.0
+_COVER_CELL_ROWS = 0.25
+_PAIR_CHUNK = 1 << 16
+
 
 class CandidateCapExceeded(RuntimeError):
     """The lattice would need more candidates than the configured cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Net:
     """Finite point set in a ball with covering / separation certificates.
 
-    ``cover_radius`` is the claimed covering radius (checked empirically by
-    :func:`check_covering`), ``separation`` the claimed pairwise minimum
-    distance (checked exactly by :func:`check_separation`).
+    ``rows`` holds the points as a read-only (n, d) float64 array; ``points``
+    is a Point view built on first access. ``cover_radius`` is the claimed
+    covering radius (checked empirically by :func:`check_covering`),
+    ``separation`` the claimed pairwise minimum distance (checked exactly by
+    :func:`check_separation`).
     """
 
-    points: tuple[Point, ...]
+    rows: np.ndarray
     ball: Ball
     cover_radius: float
     separation: float
 
-    @property
-    def points_array(self) -> np.ndarray:
-        arr = self.__dict__.get("_points_array")
-        if arr is None:
-            arr = points_as_array(self.points)
-            arr.flags.writeable = False
-            self.__dict__["_points_array"] = arr
-        return arr
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=np.float64).reshape(-1, self.ball.dimension)
+        if not np.isfinite(rows).all():
+            raise ValueError("non-finite coordinate in the net rows")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.rows.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rows)
 
 
 @dataclass(frozen=True)
@@ -94,10 +106,14 @@ def dists_to(arr: np.ndarray, coords) -> np.ndarray:
     """Distances from every row of ``arr`` to ``coords``.
 
     Accumulates squared differences coordinate by coordinate, matching the
-    scalar :func:`predsearch.geometry.distance` bit for bit.
+    scalar :func:`predsearch.geometry.distance` bit for bit. ``coords[k]``
+    may be an array that broadcasts against ``arr[:, k]``, as for the
+    distances from every row to several points at once.
     """
-    acc = np.zeros(len(arr), dtype=np.float64)
-    for k in range(arr.shape[1]):
+    # The first square starts the sum, as 0.0 + x == x.
+    diff = arr[:, 0] - coords[0]
+    acc = diff * diff
+    for k in range(1, arr.shape[1]):
         diff = arr[:, k] - coords[k]
         acc += diff * diff
     return np.sqrt(acc)
@@ -186,8 +202,7 @@ def build_net(ball: Ball, eps: float, candidate_cap: int = DEFAULT_CANDIDATE_CAP
     # The affine map can push a boundary point out of the float ball by one
     # ulp; re-filtering keeps closed membership exact.
     pts = pts[dists_to(pts, ball.center.coords) <= ball.radius]
-    points = tuple(Point(tuple(row)) for row in pts)
-    return Net(points=points, ball=ball, cover_radius=eps, separation=2.0 * eps / 3.0)
+    return Net(rows=pts, ball=ball, cover_radius=eps, separation=2.0 * eps / 3.0)
 
 
 def net_size_lower_bound(radius: float, eps: float, dimension: int) -> float:
@@ -200,51 +215,163 @@ def net_size_upper_bound(radius: float, eps: float, dimension: int) -> float:
     return (4.5 * radius / eps) ** dimension
 
 
+class _CellGrid:
+    """Rows bucketed in cubic cells of side ``h``, sorted by flat cell key: a
+    fixed-radius near-neighbour grid (Bentley, Stanat & Williams, IPL 1977).
+
+    A point's cell is floor((x - lo) / h) + 1 on each axis, ``lo`` being the
+    rows' lower corner, so the rows fill cells 1..m and the border layers 0
+    and m + 1 stay empty: a cell one step off the rows, or a far probe
+    clipped into the border, aliases only empty cells. The last axis varies
+    fastest, so the three cells of a block along it hold one run of the
+    sorted rows, and a point's 3^d block is 3^(d-1) such runs.
+
+    Completeness: a row at :func:`dists_to` distance below h / _BLOCK_GUARD
+    from a point lies in the point's block. No coordinate difference exceeds
+    the distance, and rounding moves a cell coordinate by at most
+    ~2^-52 * (m + 1) cells, far below the guard's 1e-9 because ``h`` is
+    raised where needed to keep m <= 2^20 (and the key space below 2^60).
+    ``h`` is also at least 2^-500, so that a coordinate difference that
+    leaves the block squares to a normal float: a difference below ~2^-511
+    squares to 0 and is missing from the distance. A box of zero extent gets
+    h = 1. Memory is O(n) plus the lookups.
+    """
+
+    def __init__(self, rows: np.ndarray, h: float):
+        d = rows.shape[1]
+        self.lo = rows.min(axis=0)
+        extent = rows.max(axis=0) - self.lo
+        span = float(extent.max())
+        self.h = max(h, span / min(2**20, int(2.0 ** (60.0 / d)) - 4), 2.0**-500)
+        if span == 0.0:
+            self.h = max(self.h, 1.0)
+        self.top = np.floor(extent / self.h) + 2.0
+        widths = self.top.astype(np.int64) + 1
+        self.strides = np.append(np.cumprod(widths[:0:-1])[::-1], 1)
+        # Flat offsets to the middle cell of each run of the block, ascending.
+        prefixes = itertools.product((-1, 0, 1), repeat=d - 1)
+        self.runs = np.array([(*o, 0) for o in prefixes]) @ self.strides
+        keys = self.cell_keys(rows)
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        # Coordinate k of the sorted rows is cols[k], so gathers are contiguous.
+        self.cols = np.ascontiguousarray(rows[self.order].T)
+
+    def cell_keys(self, points: np.ndarray) -> np.ndarray:
+        cells = np.floor((points - self.lo) / self.h) + 1.0
+        return np.clip(cells, 0.0, self.top, out=cells).astype(np.int64) @ self.strides
+
+    def block(self, keys: np.ndarray, runs: np.ndarray | None = None):
+        """Start and end in the sorted rows of each run of the block around
+        each query key: two (len(keys), len(runs)) arrays. The searches go
+        run by run, which is faster when the keys are sorted."""
+        middle = (self.runs if runs is None else runs)[:, None] + keys
+        return (
+            np.searchsorted(self.keys, middle - 1, "left").T,
+            np.searchsorted(self.keys, middle + 1, "right").T,
+        )
+
+
+def _pairs(start: np.ndarray, end: np.ndarray):
+    """Yield, piece by piece, ``(first, size, row)`` for the row ranges
+    [start, end) of (m, r) arrays: queries ``first``, ``first + 1``, ... pair
+    with ``size[0]``, ``size[1]``, ... sorted rows, listed query by query in
+    ``row``. A piece's queries times its most pairs of one query stay within
+    ``_PAIR_CHUNK`` unless the piece has a single query."""
+    count = end - start
+    size = count.sum(axis=1)
+    a = 0
+    while a < len(size):
+        widest = np.maximum.accumulate(size[a : a + _PAIR_CHUNK])
+        b = a + max(1, int(np.count_nonzero(np.arange(1, len(widest) + 1) * widest <= _PAIR_CHUNK)))
+        flat = count[a:b].ravel()
+        skip = np.cumsum(flat) - flat - start[a:b].ravel()
+        yield a, size[a:b], np.arange(size[a:b].sum()) - np.repeat(skip, flat)
+        a = b
+
+
+def _pair_distances(grid: _CellGrid, row: np.ndarray, queries: np.ndarray, size: np.ndarray):
+    """:func:`dists_to` distances of a piece of :func:`_pairs`: from sorted
+    row ``row[t]`` to the query of pair t, the queries' coordinates being the
+    columns of ``queries``."""
+    return dists_to(grid.cols[:, row].T, np.repeat(queries, size, axis=1))
+
+
+def _cell_side(rows: np.ndarray, per_cell: float) -> float:
+    """Side of a cubic cell that holds ``per_cell`` rows on average over the
+    rows' bounding box, counting only its axes of nonzero extent."""
+    extent = np.ptp(rows, axis=0)
+    extent = extent[extent > 0.0]
+    if len(extent) == 0:
+        return 0.0
+    return float(np.exp(np.mean(np.log(extent))) * (per_cell / len(rows)) ** (1.0 / len(extent)))
+
+
+def _neighbour_lists(arr: np.ndarray, k: int):
+    """Each row's nearest other rows in its 3^d block of a cell grid, up to
+    k of them, ranked by exact :func:`dists_to` distance and then by index;
+    short lists are padded with the row itself at distance inf. Returns the
+    (n, k) indices and distances and the grid's cell side."""
+    n = len(arr)
+    grid = _CellGrid(arr, _cell_side(arr, _WALK_BLOCK_ROWS / 3 ** arr.shape[1]))
+    nbrs = np.empty((n, k), dtype=np.intp)
+    exact = np.empty((n, k))
+    for first, size, p in _pairs(*grid.block(grid.keys)):
+        # One matrix row per query and its block's rows in the columns; the
+        # query itself and the padding rank last, at distance inf and index n.
+        here = slice(first, first + len(size))
+        owner = np.repeat(np.arange(len(size)), size)
+        slot = np.arange(len(p)) - np.repeat(np.cumsum(size) - size, size)
+        itself = p == first + owner
+        dist = np.full((len(size), max(k, int(size.max()))), np.inf)
+        index = np.full(dist.shape, n)
+        measured = _pair_distances(grid, p, grid.cols[:, here], size)
+        dist[owner, slot] = np.where(itself, np.inf, measured)
+        index[owner, slot] = np.where(itself, n, grid.order[p])
+        rank = np.lexsort((index, dist), axis=-1)[:, :k]
+        dist = np.take_along_axis(dist, rank, axis=-1)
+        i = grid.order[here]
+        exact[i] = dist
+        nbrs[i] = np.where(dist < np.inf, np.take_along_axis(index, rank, axis=-1), i[:, None])
+    return nbrs, exact, grid.h
+
+
 def _visit_indices(arr: np.ndarray, start) -> np.ndarray:
     """Indices into ``arr`` of its rows in greedy nearest-neighbor order,
     starting from the row nearest to ``start``.
 
     Each step moves to the unvisited row at the smallest :func:`dists_to`
     distance, ties going to the lexicographically smallest row. Every row's
-    ``_WALK_NEIGHBORS`` nearest rows (by KD-tree distance) are ranked once by
-    exact distance, then by row. A step takes the first unvisited row in that
-    ranking when it lies closer than the farthest tree neighbour divided by
-    ``_BLOCK_GUARD``: then no row outside the list can win or tie, even if the
-    tree's distances differ from ``dists_to`` in the last ulp. Otherwise the
+    nearest rows in its 3^d block of a cell grid of side h, up to
+    ``_WALK_NEIGHBORS``, are ranked once by exact distance, then by row. A
+    step takes the first unvisited row in that ranking when it lies closer
+    than min(h, k-th listed distance) / ``_BLOCK_GUARD``: an unlisted row
+    either lies outside the block, at h / _BLOCK_GUARD or more, or in it at
+    the k-th distance or more, so it can neither win nor tie. Otherwise the
     step scans every unvisited row.
     """
     n, d = arr.shape
     # Pre-sorting lexicographically makes the smallest index the lex-smallest tie.
     lex = np.lexsort(tuple(arr[:, k] for k in reversed(range(d))))
     arr = arr[lex]
-    k = min(_WALK_NEIGHBORS, n)
-    # A range of neighbour ranks keeps the (n, k) shape also when k == 1.
-    tree_dist, nbrs = cKDTree(arr).query(arr, k=range(1, k + 1))
-    reach = tree_dist[:, -1] / _BLOCK_GUARD
-    # Same per-coordinate accumulation as dists_to, in tree_dist's buffer.
-    exact = tree_dist
-    exact[:] = 0.0
-    for c in range(d):
-        diff = arr[nbrs, c]
-        diff -= arr[:, c, None]
-        diff *= diff
-        exact += diff
-    np.sqrt(exact, out=exact)
-    rank = np.lexsort((nbrs, exact), axis=-1)
-    nbrs = np.take_along_axis(nbrs, rank, axis=-1)
-    exact = np.take_along_axis(exact, rank, axis=-1)
+    nbrs, exact, h = _neighbour_lists(arr, _WALK_NEIGHBORS)
+    reach = (np.minimum(exact[:, -1], h) / _BLOCK_GUARD).tolist()
+    listed, dists = nbrs.tolist(), exact.tolist()
 
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.intp)
+    # Python ints and floats from lists and a bytearray read faster than numpy's.
+    seen = bytearray(n)
+    visited = np.frombuffer(seen, dtype=bool)
+    order = []
     current = int(np.argmin(dists_to(arr, start)))
-    for step in range(n):
-        visited[current] = True
-        order[step] = current
-        fresh = ~visited[nbrs[current]]
-        j = int(np.argmax(fresh))
-        if fresh[j] and exact[current, j] < reach[current]:
-            current = int(nbrs[current, j])
-        elif step + 1 < n:
+    for step in range(1, n + 1):
+        seen[current] = True
+        order.append(current)
+        for j, dist in zip(listed[current], dists[current]):
+            if not seen[j]:
+                break
+        if not seen[j] and dist < reach[current]:
+            current = j
+        elif step < n:
             rest = np.flatnonzero(~visited)
             current = int(rest[np.argmin(dists_to(arr[rest], arr[current]))])
     return lex[order]
@@ -256,15 +383,16 @@ def visit_order(net: Net, start: Point) -> list[Point]:
     Begins at the net point nearest to ``start`` and then always moves to the
     nearest unvisited point, measured by :func:`dists_to`; ties go to the
     lexicographically smallest point. The result is a permutation of
-    ``net.points``. Cost: O(n k log n) for one KD-tree query of every
-    point's k = 8 nearest neighbours, O(k) per step, plus an O(n) scan only
-    at steps where all k nearest neighbours are already visited.
+    ``net.points``. Cost: O(n log n) for a cell grid that lists every
+    point's k = 8 nearest neighbours in its block of cells, O(k) per step,
+    plus an O(n) scan only at steps where no listed neighbour is provably
+    the nearest unvisited point.
     """
-    if len(net.points) == 0:
+    if len(net) == 0:
         raise ValueError("cannot order an empty net")
     if start.dimension != net.ball.dimension:
         raise ValueError("start dimension does not match the net")
-    return [net.points[i] for i in _visit_indices(net.points_array, start.coords)]
+    return list(map(Point, net.rows[_visit_indices(net.rows, start.coords)].tolist()))
 
 
 def sample_in_ball(rng: np.random.Generator, ball: Ball, n: int) -> np.ndarray:
@@ -284,34 +412,71 @@ def sample_in_ball(rng: np.random.Generator, ball: Ball, n: int) -> np.ndarray:
     return out + np.array(ball.center.coords, dtype=np.float64)
 
 
+def _nearest_distances(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Exact :func:`dists_to` distance from each probe to its nearest row.
+
+    A cell grid answers every probe whose nearest row in its 3^d block lies
+    within h / ``_BLOCK_GUARD``, which no row outside the block can beat.
+    The other probes retry on a grid of side 2h, and so on; once h spans the
+    rows, every block holds them all.
+    """
+    gaps = np.full(len(probes), np.inf)
+    todo = np.arange(len(probes))
+    h = _cell_side(rows, _COVER_CELL_ROWS)
+    while len(todo):
+        grid = _CellGrid(rows, h)
+        keys = grid.cell_keys(probes[todo])
+        todo = todo[np.argsort(keys, kind="stable")]
+        cols = np.ascontiguousarray(probes[todo].T)
+        best = np.full(len(todo), np.inf)
+        for first, size, p in _pairs(*grid.block(np.sort(keys))):
+            here = slice(first, first + len(size))
+            # Each probe's pairs are adjacent: reduce them in one run.
+            heads = (np.cumsum(size) - size)[size > 0]
+            if len(heads):
+                dist = _pair_distances(grid, p, cols[:, here], size)
+                best[here][size > 0] = np.minimum.reduceat(dist, heads)
+        done = best <= grid.h / _BLOCK_GUARD
+        gaps[todo[done]] = best[done]
+        todo = todo[~done]
+        h = 2.0 * grid.h
+    return gaps
+
+
 def check_covering(net: Net, samples: int, seed: int) -> CoverReport:
     """Empirical covering certificate: max nearest-net-point distance over
     uniform samples in the ball, compared against the claimed cover radius."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if len(net.points) == 0:
+    if len(net) == 0:
         return CoverReport(max_gap=math.inf, ok=False, samples=samples)
     rng = np.random.default_rng(seed)
     probes = sample_in_ball(rng, net.ball, samples)
-    gaps, _ = cKDTree(net.points_array).query(probes)
-    max_gap = float(np.max(gaps))
+    max_gap = float(np.max(_nearest_distances(net.rows, probes)))
     return CoverReport(max_gap=max_gap, ok=max_gap <= net.cover_radius, samples=samples)
 
 
 def check_separation(net: Net) -> bool:
     """Exact all-pairs separation check (no tolerance).
 
-    Only the pairs that a KD-tree finds within ``separation * _BLOCK_GUARD``
-    are measured by :func:`dists_to`. The filter is complete: tree and exact
-    distances differ by a few ulps, so a pair at exact distance < s has tree
-    distance < s * (1 + 1e-9).
+    Only the pairs in neighbouring cells of a grid of side ``separation *
+    _BLOCK_GUARD`` are measured by :func:`dists_to`: each row against the
+    later rows of its own cell and the rows of the forward half of its
+    block. The filter is complete, because a pair at distance below the
+    separation lies in neighbouring cells (see :class:`_CellGrid`).
     """
-    arr = net.points_array
-    if len(arr) < 2:
+    arr, s = net.rows, net.separation
+    if len(arr) < 2 or not s > 0.0:
         return True
-    i, j = cKDTree(arr).query_pairs(net.separation * _BLOCK_GUARD, output_type="ndarray").T
-    # Row k of arr[i].T holds the k-th coordinate of every pair's first point.
-    return not np.any(dists_to(arr[j], arr[i].T) < net.separation)
+    grid = _CellGrid(arr, s * _BLOCK_GUARD)
+    forward = grid.runs[grid.runs >= 0]
+    start, end = grid.block(grid.keys, forward)
+    # The run through a row's own cell starts just after the row itself.
+    start[:, 0] = np.arange(len(arr)) + 1
+    for first, size, j in _pairs(start, end):
+        if np.any(_pair_distances(grid, j, grid.cols[:, first : first + len(size)], size) < s):
+            return False
+    return True
 
 
 def separated_set(

@@ -122,9 +122,16 @@ class QueryRecorder:
     contraction step: it queries the rows of an (n, d) array in order, stops
     after the first value ``<= stop`` or after ``limit`` rows, and returns
     the values queried. It rejects a batch with a non-finite row before
-    logging anything; ``_query_prefix`` then answers the rows, by default
-    one ``query`` call per row.
+    logging anything. A subclass that answers whole chunks defines
+    ``_answer_chunk`` and names its own ``query`` as ``_chunked_query``;
+    the rows then go to ``_answer_chunk`` in chunks of 16, 32, 64, ... rows.
+    Otherwise, and wherever ``query`` is overridden or wrapped, every row
+    goes through ``query``.
     """
+
+    _FIRST_CHUNK = 16
+    # The ``query`` whose answers ``_answer_chunk`` reproduces row for row.
+    _chunked_query = None
 
     def __init__(self):
         self.memo: dict[tuple[float, ...], float] = {}
@@ -163,9 +170,26 @@ class QueryRecorder:
 
     def _query_prefix(self, rows: np.ndarray, stop: float) -> None:
         """Query the rows in order until a value ``<= stop``."""
-        for row in rows:
-            if self.query(Point(row.tolist())) <= stop:
+        if type(self).query is not type(self)._chunked_query:
+            for row in rows:
+                if self.query(Point(row.tolist())) <= stop:
+                    break
+            return
+        start, size = 0, self._FIRST_CHUNK
+        # Doubling chunks: a walk often stops early, and the rows evaluated
+        # past the stopping row outnumber those before it by at most the
+        # first chunk.
+        while start < len(rows):
+            chunk = rows[start : start + size]
+            if self._answer_chunk(chunk, stop):
                 break
+            start += len(chunk)
+            size *= 2
+
+    def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
+        """Query the rows of a C-contiguous float64 array in order until a
+        value ``<= stop``; True if one was."""
+        raise NotImplementedError
 
 
 class PredictionOracle(QueryRecorder):
@@ -178,8 +202,6 @@ class PredictionOracle(QueryRecorder):
     scalar formula at that point bit for bit. Where ``query`` is overridden
     or wrapped, ``query_rows`` sends every row through it instead.
     """
-
-    _FIRST_CHUNK = 16
 
     def __init__(self, spec: OracleSpec):
         super().__init__()
@@ -207,22 +229,9 @@ class PredictionOracle(QueryRecorder):
                 value = self._scale(distance(p, spec.target), raw)
         return self._remember(p.coords, value)
 
-    def _query_prefix(self, rows: np.ndarray, stop: float) -> None:
-        if type(self).query is not _PREDICTION_QUERY:
-            # ``query`` is overridden or wrapped: it sees every row.
-            super()._query_prefix(rows, stop)
-            return
-        start, size = 0, self._FIRST_CHUNK
-        # Doubling chunks: a walk often stops early, and the rows evaluated
-        # past the stopping row outnumber those before it by at most the
-        # first chunk.
-        while start < len(rows):
-            chunk = rows[start : start + size]
-            answers = zip(map(tuple, chunk.tolist()), self._evaluate(chunk).tolist())
-            if any(self._remember(key, value) <= stop for key, value in answers):
-                break
-            start += len(chunk)
-            size *= 2
+    def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
+        answers = zip(map(tuple, rows.tolist()), self._evaluate(rows).tolist())
+        return any(self._remember(key, value) <= stop for key, value in answers)
 
     def _evaluate(self, rows: np.ndarray) -> np.ndarray:
         """Predictions at the rows of a C-contiguous float64 array; the
@@ -260,7 +269,7 @@ class PredictionOracle(QueryRecorder):
         return (spec.c_lo + (spec.c_hi - spec.c_lo) * u) * dist
 
 
-_PREDICTION_QUERY = PredictionOracle.query
+PredictionOracle._chunked_query = PredictionOracle.query
 
 
 def check_prediction_bounds(

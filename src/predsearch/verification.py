@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from .geometry import Ball, Point, distance, origin
-from .nets import DEFAULT_CANDIDATE_CAP, separated_set
-from .oracles import QueryRecorder, piecewise_prediction, piecewise_predictions
+from .nets import DEFAULT_CANDIDATE_CAP, dists_to, separated_set
+from .oracles import QueryRecorder, piecewise_predictions
 from .strategies import SearchTrace, StrategyConfig, step_length_bound
 
 __all__ = [
@@ -88,8 +88,10 @@ class AdversarialInstance(QueryRecorder):
 
     Presents the oracle interface used by the strategies (query, query_rows,
     query_count, dimension, c_factor). Mutable single-owner state: one
-    instance per run, and ``query_rows`` answers its rows one ``query`` at a
-    time, in order.
+    instance per run. ``query_rows`` measures a chunk's distances to every
+    candidate and to the origin at once (by ``dists_to``, so they equal the
+    scalar ``distance`` that a single ``query`` uses) and then answers its
+    rows in order.
     """
 
     def __init__(self, c: float, targets: tuple[Point, ...]):
@@ -104,6 +106,8 @@ class AdversarialInstance(QueryRecorder):
         self.ball_radius = 1.0 / self.c
         self.live: list[int] = list(range(len(targets)))
         self._origin = origin(self.d)
+        # centres[k] holds coordinate k of every candidate, as a column.
+        self._centres = np.array([t.coords for t in targets]).T[:, :, None]
 
     @property
     def dimension(self) -> int:
@@ -124,19 +128,42 @@ class AdversarialInstance(QueryRecorder):
         if p.dimension != self.d:
             raise ValueError(f"query dimension {p.dimension} != instance dimension {self.d}")
         value = self.memo.get(p.coords)
-        return self._remember(p.coords, self._answer(p) if value is None else value)
+        if value is None:
+            value = self._answer(lambda i: distance(p, self.targets[i]), distance(p, self._origin))
+        return self._remember(p.coords, value)
 
-    def _answer(self, p: Point) -> float:
-        if len(self.live) > 1:
-            hits = [i for i in self.live if distance(p, self.targets[i]) <= self.ball_radius]
+    def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
+        dist_t = dists_to(rows, self._centres).T
+        near = (dist_t <= self.ball_radius).any(axis=1).tolist()
+        dist_o = dists_to(rows, self._origin.coords).tolist()
+        for r, key in enumerate(map(tuple, rows.tolist())):
+            value = self.memo.get(key)
+            if value is None:
+                value = self._answer(dist_t[r].item, dist_o[r], near[r])
+            if self._remember(key, value) <= stop:
+                return True
+        return False
+
+    def _answer(self, dist_t, dist_o: float, near: bool = True) -> float:
+        """Answer a new query from ``dist_t(i)``, its distance to candidate
+        i, and ``dist_o``, its distance to the origin. ``near`` False says
+        that no candidate's ball holds the query."""
+        live = self.live
+        if near and len(live) > 1:
+            hits = [i for i in live if dist_t(i) <= self.ball_radius]
             for i in hits:
-                if len(self.live) > 1:
-                    self.live.remove(i)
-        if len(self.live) == 1:
-            return piecewise_prediction(self.targets[self.live[0]], self.c, p)
+                if len(live) > 1:
+                    live.remove(i)
+        if len(live) == 1:
+            # The committed target's piecewise prediction.
+            dist = dist_t(live[0])
+            if dist <= self.ball_radius:
+                return self.c * dist
         # Common value shared by every live candidate's prediction function.
-        dist_o = distance(p, self._origin)
         return 1.0 if dist_o <= 0.5 else 2.0 * dist_o
+
+
+AdversarialInstance._chunked_query = AdversarialInstance.query
 
 
 def build_adversarial_instance(

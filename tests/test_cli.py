@@ -235,6 +235,36 @@ def test_sweep_d0_exits_2_promptly(tmp_path):
     assert proc.stderr.startswith("error: ")
 
 
+def test_cli_runs_with_scipy_blocked(tmp_path):
+    # The runtime needs numpy only: a child process with SciPy made
+    # unimportable runs the net certificate, a sweep and the adversary.
+    env = dict(os.environ, PYTHONPATH=str(Path(predsearch.__file__).parents[1]))
+    commands = [
+        ["net", "--d", "3", "--eps", "0.25", "--check"],
+        ["sweep", "--d", "1", "2", "--c", "2", "--trials", "2", "--seed", "0", "--out", "s.csv"],
+        ["lowerbound", "--c", "12", "--d", "2", "--strategy", "known_c", "--svg", "a.svg"],
+    ]
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from predsearch.cli import main\n"
+        f"codes = [main(argv) for argv in {commands!r}]\n"
+        "assert not any(name.startswith('scipy') for name in sys.modules if sys.modules[name]), 'scipy'\n"
+        "sys.exit(max(codes))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "covering: ok" in proc.stdout
+    assert (tmp_path / "s.csv").exists() and (tmp_path / "a.svg").exists()
+
+
 def test_svg_requires_d2():
     oracle = PredictionOracle(OracleSpec(kind="exact", target=point(0.5, 0.5, 0.5)))
     trace = search_known_c(oracle, StrategyConfig(kind="known_c", c_guess=1.0))

@@ -25,7 +25,7 @@ from predsearch import (
     separated_set,
     visit_order,
 )
-from predsearch.nets import DEFAULT_CANDIDATE_CAP, _unit_net_points, dists_to
+from predsearch.nets import DEFAULT_CANDIDATE_CAP, _nearest_distances, _unit_net_points, dists_to
 from predsearch.strategies import _unit_walk
 
 
@@ -85,24 +85,24 @@ def test_check_covering_brute_force_agrees():
     report = check_covering(net, 2000, seed=3)
     rng = np.random.default_rng(3)
     probes = sample_in_ball(rng, net.ball, 2000)
-    arr = net.points_array
+    arr = net.rows
     brute = 0.0
     for row in probes:
         gaps = np.sqrt(((arr - row) ** 2).sum(axis=1))
         brute = max(brute, float(gaps.min()))
     assert brute <= net.cover_radius
-    assert report.max_gap == pytest.approx(brute, rel=1e-12)
+    assert report.max_gap == brute
 
 
 def test_check_covering_single_point_fails():
     ball = Ball(origin(2), 1.0)
-    net = Net(points=(origin(2),), ball=ball, cover_radius=0.1, separation=0.1)
+    net = Net(rows=[(0.0, 0.0)], ball=ball, cover_radius=0.1, separation=0.1)
     assert not check_covering(net, 1000, seed=0).ok
 
 
 def test_check_covering_degenerate_ball():
     ball = Ball(point(2.0, 3.0), 0.0)
-    net = Net(points=(point(2.0, 3.0),), ball=ball, cover_radius=0.1, separation=0.1)
+    net = Net(rows=[(2.0, 3.0)], ball=ball, cover_radius=0.1, separation=0.1)
     report = check_covering(net, 1, seed=5)
     assert report.max_gap == 0.0
     assert report.ok
@@ -111,17 +111,26 @@ def test_check_covering_degenerate_ball():
 def test_check_separation_cases():
     ball = Ball(point(0.0), 1.0)
     assert check_separation(build_net(ball, 0.5))
-    bad = Net(points=(point(0.0), point(0.1)), ball=ball, cover_radius=1.0, separation=0.5)
+    bad = Net(rows=[(0.0,), (0.1,)], ball=ball, cover_radius=1.0, separation=0.5)
     assert not check_separation(bad)
-    single = Net(points=(point(0.0),), ball=ball, cover_radius=1.0, separation=0.5)
+    single = Net(rows=[(0.0,)], ball=ball, cover_radius=1.0, separation=0.5)
     assert check_separation(single)
-    empty = Net(points=(), ball=ball, cover_radius=1.0, separation=0.5)
+    empty = Net(rows=[], ball=ball, cover_radius=1.0, separation=0.5)
     assert check_separation(empty)
+
+
+def test_net_rows_are_read_only_and_finite():
+    net = Net(rows=[(0.0, 1.0), (2.0, 3.0)], ball=Ball(origin(2), 4.0), cover_radius=1.0, separation=1.0)
+    assert net.rows.shape == (2, 2) and not net.rows.flags.writeable
+    assert net.points == (point(0.0, 1.0), point(2.0, 3.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            Net(rows=[(0.0, bad)], ball=Ball(origin(2), 4.0), cover_radius=1.0, separation=1.0)
 
 
 def _reference_separation(net):
     """The O(n^2) check: every point against all later ones, by dists_to."""
-    arr = net.points_array
+    arr = net.rows
     for i in range(len(arr) - 1):
         if np.min(dists_to(arr[i + 1 :], arr[i])) < net.separation:
             return False
@@ -145,7 +154,7 @@ def _separation_cases(draw):
         | st.floats(0.0, 4.0 * scale)
     )
     return Net(
-        points=tuple(Point(row) for row in rows),
+        rows=rows,
         ball=Ball(origin(d), 10.0 * scale),
         cover_radius=10.0 * scale,
         separation=separation,
@@ -156,6 +165,47 @@ def _separation_cases(draw):
 @given(_separation_cases())
 def test_check_separation_matches_all_pairs_reference(net):
     assert check_separation(net) == _reference_separation(net)
+
+
+def test_check_separation_finds_a_pair_split_by_cell_rounding():
+    # In cells of side exactly s, the rounding of (x - lo) / s puts p and q
+    # two cells apart although |q - p| < s; the guard keeps them neighbours.
+    lo, p, q, s = -589.0176223523866, 27.029220055399946, 27.94595642803057, 0.9167363726306349
+    assert abs(q - p) < s
+    assert math.floor((q - lo) / s) - math.floor((p - lo) / s) == 2
+    net = Net(rows=[(lo,), (p,), (q,)], ball=Ball(point(0.0), 1e3), cover_radius=1e3, separation=s)
+    assert not check_separation(net)
+
+
+def test_check_separation_finds_a_pair_whose_square_underflows():
+    # The squared difference underflows to 0, so dists_to puts the pair at
+    # distance 0 < s, though the points lie 2^20 cells of side s apart.
+    net = Net(rows=[(0.0,), (1e-200,)], ball=Ball(point(0.0), 1.0), cover_radius=1.0, separation=5e-324)
+    assert dists_to(net.rows[1:], net.rows[0])[0] == 0.0
+    assert not check_separation(net)
+
+
+@st.composite
+def _cover_cases(draw):
+    d = draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    coord = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+    ).map(lambda x: x * scale)
+    rows = np.array(draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=60)))
+    # Probes inside the rows' box, far outside it, and on rows themselves.
+    far = st.floats(-1e3, 1e3).map(lambda x: x * scale)
+    probes = draw(st.lists(st.tuples(*[coord | far] * d), min_size=1, max_size=40))
+    return rows, np.concatenate((np.array(probes), rows[: draw(st.integers(0, len(rows)))]))
+
+
+@settings(deadline=None)
+@given(_cover_cases())
+def test_nearest_distances_match_brute_force(case):
+    rows, probes = case
+    brute = np.array([np.min(dists_to(rows, probe)) for probe in probes])
+    assert np.array_equal(_nearest_distances(rows, probes), brute)
 
 
 def _reference_greedy(d, radius, spacing, separation, center):
@@ -250,7 +300,7 @@ def _brute_greedy(points, start):
 def _reference_order(net, start):
     """The O(n^2) greedy walk: rescan every point at each step and take the
     first argmin over the lexicographically sorted rows."""
-    arr = net.points_array
+    arr = net.rows
     n, d = arr.shape
     arr = arr[np.lexsort(tuple(arr[:, k] for k in reversed(range(d))))]
     remaining_dist = dists_to(arr, start.coords)
@@ -286,7 +336,7 @@ def _grid_clouds(draw):
     else:
         start = draw(st.tuples(*[st.integers(-6, 6).map(lambda x: x / 2)] * d))
     net = Net(
-        points=tuple(Point(row) for row in rows),
+        rows=rows,
         ball=Ball(origin(d), 10.0),
         cover_radius=10.0,
         separation=0.0,
@@ -304,6 +354,22 @@ def test_visit_order_matches_reference_on_grid_clouds(case):
     assert sorted(p.coords for p in order) == sorted(p.coords for p in net.points)
 
 
+def test_visit_order_matches_reference_on_clustered_clouds():
+    # Clusters of very different density leave sparse points with short
+    # neighbour lists, whose nearest unvisited point lies outside the block.
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        d = int(rng.integers(1, 4))
+        k = int(rng.integers(1, 4))
+        centres = rng.uniform(-10.0, 10.0, (k, d))
+        scales = 10.0 ** rng.uniform(-2.0, 1.0, k)
+        label = rng.integers(0, k, int(rng.integers(2, 40)))
+        rows = np.round(centres[label] + rng.normal(size=(len(label), d)) * scales[label, None], 2)
+        net = Net(rows=rows, ball=Ball(origin(d), 100.0), cover_radius=100.0, separation=0.0)
+        start = Point(rows[0])
+        assert visit_order(net, start) == _reference_order(net, start)
+
+
 def test_unit_walk_of_benchmark_net_is_pinned():
     # The lowerbound c=24 d=2 walk (13,447 points), recorded with the O(n^2)
     # implementation; checking it against _reference_order would take seconds.
@@ -317,18 +383,18 @@ def test_unit_walk_of_benchmark_net_is_pinned():
 
 def test_visit_order_1d_chain():
     ball = Ball(point(1.5), 2.0)
-    net = Net(points=(point(0.0), point(1.0), point(3.0)), ball=ball, cover_radius=2.0, separation=1.0)
+    net = Net(rows=[(0.0,), (1.0,), (3.0,)], ball=ball, cover_radius=2.0, separation=1.0)
     assert visit_order(net, point(0.1)) == [point(0.0), point(1.0), point(3.0)]
 
 
 def test_visit_order_single():
-    net = Net(points=(point(2.0, 2.0),), ball=Ball(point(2.0, 2.0), 1.0), cover_radius=1.0, separation=1.0)
+    net = Net(rows=[(2.0, 2.0)], ball=Ball(point(2.0, 2.0), 1.0), cover_radius=1.0, separation=1.0)
     assert visit_order(net, point(0.0, 0.0)) == [point(2.0, 2.0)]
 
 
 def test_visit_order_triangle_matches_brute_force():
     pts = (point(0.0, 0.0), point(0.0, 2.0), point(5.0, 0.0))
-    net = Net(points=pts, ball=Ball(point(1.0, 1.0), 6.0), cover_radius=6.0, separation=1.0)
+    net = Net(rows=[p.coords for p in pts], ball=Ball(point(1.0, 1.0), 6.0), cover_radius=6.0, separation=1.0)
     order = visit_order(net, point(0.0, 0.0))
     assert order == [point(0.0, 0.0), point(0.0, 2.0), point(5.0, 0.0)]
     assert order == _brute_greedy(pts, point(0.0, 0.0))
@@ -340,7 +406,7 @@ def test_visit_order_random_matches_brute_force():
         d = int(rng.integers(1, 4))
         n = int(rng.integers(1, 12))
         pts = tuple(point(*row) for row in rng.normal(size=(n, d)))
-        net = Net(points=pts, ball=Ball(origin(d), 10.0), cover_radius=10.0, separation=0.0)
+        net = Net(rows=[p.coords for p in pts], ball=Ball(origin(d), 10.0), cover_radius=10.0, separation=0.0)
         start = point(*rng.normal(size=d))
         assert visit_order(net, start) == _brute_greedy(pts, start)
 
@@ -353,7 +419,7 @@ def test_visit_order_is_permutation():
 
 
 def test_visit_order_empty_net():
-    net = Net(points=(), ball=Ball(origin(2), 1.0), cover_radius=1.0, separation=1.0)
+    net = Net(rows=[], ball=Ball(origin(2), 1.0), cover_radius=1.0, separation=1.0)
     with pytest.raises(ValueError):
         visit_order(net, origin(2))
 
@@ -388,7 +454,7 @@ def test_visit_order_breaks_exact_ties_lexicographically():
     # Four corners of a square are equidistant from the center: the walk must
     # start at the lexicographically smallest and stay deterministic.
     pts = (point(1.0, 1.0), point(-1.0, 1.0), point(-1.0, -1.0), point(1.0, -1.0))
-    net = Net(points=pts, ball=Ball(origin(2), 2.0), cover_radius=2.0, separation=2.0)
+    net = Net(rows=[p.coords for p in pts], ball=Ball(origin(2), 2.0), cover_radius=2.0, separation=2.0)
     order = visit_order(net, origin(2))
     assert order[0] == point(-1.0, -1.0)
     assert order == visit_order(net, origin(2))

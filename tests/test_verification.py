@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predsearch import (
     AdversarialInstance,
     Ball,
+    Point,
     StrategyConfig,
     adversarial_path_floor,
     audit_trace,
@@ -273,3 +276,106 @@ def test_report_dict_keeps_field_order():
     assert list(payload) == [f.name for f in dataclasses.fields(report)]
     assert payload["violations"] == list(report.violations)
     assert isinstance(payload["violations"], list)
+
+
+# --- Batched adversary against the per-row route and the scalar adversary ---
+
+
+class _ScalarAdversary:
+    """The per-point adversary: the scalar ``distance`` to each live
+    candidate, ``piecewise_prediction`` once committed, first-seen memo."""
+
+    def __init__(self, c, targets):
+        self.c, self.targets, self.ball_radius = c, targets, 1.0 / c
+        self.live = list(range(len(targets)))
+        self.memo, self.log = {}, []
+
+    def query(self, p):
+        value = self.memo.get(p.coords)
+        if value is None:
+            if len(self.live) > 1:
+                hits = [i for i in self.live if distance(p, self.targets[i]) <= self.ball_radius]
+                for i in hits:
+                    if len(self.live) > 1:
+                        self.live.remove(i)
+            if len(self.live) == 1:
+                value = piecewise_prediction(self.targets[self.live[0]], self.c, p)
+            else:
+                dist_o = distance(p, origin(p.dimension))
+                value = 1.0 if dist_o <= 0.5 else 2.0 * dist_o
+            self.memo[p.coords] = value
+        self.log.append((p.coords, value))
+        return value
+
+
+class _PerRowAdversary(AdversarialInstance):
+    def query(self, p):
+        return super().query(p)
+
+
+@st.composite
+def _adversary_batches(draw):
+    c = draw(st.sampled_from([6.0, 8.0, 12.0]))
+    d = draw(st.integers(1, 2))
+    targets = build_adversarial_instance(c, d).targets
+    coord = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.6, 0.6))
+    seen = [np.zeros(d)]
+    batches = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = []
+        for _ in range(draw(st.integers(1, 30))):
+            how = draw(st.sampled_from(["near", "edge", "free", "repeat", "twin"]))
+            if how == "near":  # inside or next to a candidate's ball
+                centre = np.array(draw(st.sampled_from(targets)).coords)
+                row = centre + np.array(draw(st.lists(st.floats(-1.2, 1.2), min_size=d, max_size=d))) / c
+            elif how == "edge":  # on the ball's boundary, up to rounding
+                row = np.array(draw(st.sampled_from(targets)).coords)
+                row[draw(st.integers(0, d - 1))] += draw(st.sampled_from([-1.0, 1.0])) / c
+            elif how == "free":
+                row = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
+            else:
+                row = draw(st.sampled_from(seen))
+                if how == "twin":  # the same key with its zeros negated
+                    row = np.where(row == 0.0, -row, row)
+            rows.append(row)
+            seen.append(row)
+        batches.append((np.array(rows), draw(st.floats(0.0, 1.5)), draw(st.integers(0, len(rows)))))
+    return c, d, batches
+
+
+@settings(deadline=None, max_examples=150)
+@given(_adversary_batches())
+def test_adversary_batches_match_the_per_row_route_and_the_scalar_adversary(case):
+    c, d, batches = case
+    batched = build_adversarial_instance(c, d)
+    per_row = _PerRowAdversary(c, batched.targets)
+    scalar = _ScalarAdversary(c, batched.targets)
+    for rows, stop, limit in batches:
+        expected = []
+        for row in rows[:limit]:
+            expected.append(scalar.query(Point(row.tolist())))
+            if expected[-1] <= stop:
+                break
+        for instance in (batched, per_row):
+            assert repr(instance.query_rows(rows, stop, limit).tolist()) == repr(expected)
+            assert instance.live == scalar.live
+    for instance in (batched, per_row):
+        assert repr(list(instance.memo.items())) == repr(list(scalar.memo.items()))
+        assert repr([(p.coords, v) for p, v in instance.query_log]) == repr(scalar.log)
+
+
+def test_wrapped_adversary_query_hears_every_row(monkeypatch):
+    # A wrapper on the class, as a tracer installs, sees each row once.
+    heard = []
+    query = AdversarialInstance.query
+
+    def wrapped(self, p):
+        heard.append(p.coords)
+        return query(self, p)
+
+    monkeypatch.setattr(AdversarialInstance, "query", wrapped)
+    instance = build_adversarial_instance(12.0, 2)
+    rows = np.array([[0.3, 0.1], [-0.2, 0.0], [0.3, 0.1], [0.6, 0.6]])
+    values = instance.query_rows(rows, -1.0, 4)
+    assert heard == [tuple(r) for r in rows.tolist()]
+    assert values.tolist() == [v for _, v in instance.query_log]
