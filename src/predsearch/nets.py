@@ -6,7 +6,10 @@ candidate order. For a net with cover radius eps the lattice spacing is
 (eps/3)/sqrt(d) (so candidates cover the ball within eps/3) and the greedy
 separation is 2*eps/3, which certifies cover radius <= eps and cardinality
 (r/eps)^d <= |N| <= (4.5*r/eps)^d for eps <= r. The greedy blocks a fixed
-integer stencil of lattice indices around each kept point.
+integer stencil of lattice indices around each kept point. It walks the
+(2k+1)^d candidate cube in blocks of axis-0 slabs and keeps blocked flags
+for a block and the w = isqrt(stencil radius^2) slabs the stencil reaches
+past it, so its working memory is about (w + 1) * (2k+1)^(d-1) cells.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ __all__ = [
     "separated_set",
     "net_size_lower_bound",
     "net_size_upper_bound",
-    "points_as_array",
     "sample_in_ball",
 ]
 
@@ -54,6 +56,12 @@ _WALK_NEIGHBORS = 8
 _WALK_BLOCK_ROWS = 27.0
 _COVER_CELL_ROWS = 0.25
 _PAIR_CHUNK = 1 << 16
+# Queries per grid lookup of the certificates.
+_QUERY_CHUNK = 1 << 10
+
+# Lattice cells per block of axis-0 slabs in the greedy. The d <= 2
+# lattices of the search commands (up to ~166k cells) take one block.
+_GREEDY_BLOCK_CELLS = 1 << 18
 
 
 class CandidateCapExceeded(RuntimeError):
@@ -98,10 +106,6 @@ class CoverReport:
     samples: int
 
 
-def points_as_array(points) -> np.ndarray:
-    return np.array([p.coords for p in points], dtype=np.float64)
-
-
 def dists_to(arr: np.ndarray, coords) -> np.ndarray:
     """Distances from every row of ``arr`` to ``coords``.
 
@@ -129,6 +133,11 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
     sets). That is blocking within ``separation * _BLOCK_GUARD`` exactly
     while |center| + radius stays below ~1e6 separations, so that rounding
     stays inside the guard; |o|^2 = block_sq + 1 is sqrt(1 + 1/block_sq) out.
+
+    The cube of (2k+1)^d cells is walked in blocks of axis-0 slabs, so the
+    working memory is a block plus the w = isqrt(block_sq) slabs a block's
+    stencils reach past it: about (w + 1) * (2k+1)^(d-1) cells once a slab
+    outgrows ``_GREEDY_BLOCK_CELLS``. The cap on cube cells is checked first.
     """
     k_max = int(math.floor(radius / spacing)) if radius > 0 else 0
     per_axis = 2 * k_max + 1
@@ -139,34 +148,51 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
             f"(d={dimension}, radius/spacing={radius / spacing:.3g})"
         )
     axis = np.arange(-k_max, k_max + 1, dtype=np.float64) * spacing
-    keep = np.ones((per_axis,) * dimension, dtype=bool)
-    # dists_to's arithmetic, by broadcasting; the set drops a repeated origin.
-    for c in {(0.0,) * dimension, tuple(center)}:
-        acc = np.zeros(keep.shape, dtype=np.float64)
-        for k in range(dimension):
-            diff = (axis + c[k]) - c[k]
-            acc += (diff * diff).reshape((-1,) + (1,) * (dimension - 1 - k))
-        keep &= np.sqrt(acc, out=acc) <= radius
-    # Blocks reach only forward in flat order (kept points stay unblocked); a
-    # step off the grid lands in the border after the last axis it leaves.
+    # The cube padded by w cells after each axis: blocks reach only forward
+    # in flat order (kept points stay unblocked), at most w slabs along axis
+    # 0, and a step off the lattice lands in the border after the last axis
+    # it leaves.
     w = min(math.isqrt(block_sq), 2 * k_max)
-    grid = np.pad(keep, (0, w))
+    side = per_axis + w
+    slab = side ** (dimension - 1)
     reach = np.arange(-w, w + 1)
     off_sq = off = np.zeros(1, dtype=np.int64)
     for _ in range(dimension):  # flat stencil offsets, axis by axis, pruned as they grow
         off_sq = np.add.outer(off_sq, reach * reach).ravel()
-        off = np.add.outer(off * grid.shape[0], reach).ravel()
+        off = np.add.outer(off * side, reach).ravel()
         off, off_sq = off[off_sq <= block_sq], off_sq[off_sq <= block_sq]
     off = off[off > 0]
-    cands = np.flatnonzero(grid)
-    # Python ints from a memoryview and bytearray read faster than numpy's.
-    seen = bytearray(grid.size)
-    blocked = np.frombuffer(seen, dtype=bool)
-    for p in memoryview(cands):
-        if not seen[p]:
-            blocked[p + off] = True
-    idx = np.unravel_index(cands[~blocked[cands]], grid.shape)
-    return np.stack([axis[i] + c for i, c in zip(idx, center)], axis=1)
+    # Axis-0 slabs go in blocks of `step`; the blocked flags cover the block
+    # and the w slabs after it, which carry over to the next block.
+    step = max(1, _GREEDY_BLOCK_CELLS // per_axis ** (dimension - 1))
+    seen = None
+    kept = []
+    for first in range(0, per_axis, step):
+        heads = axis[first : first + step]
+        keep = np.ones((len(heads),) + (per_axis,) * (dimension - 1), dtype=bool)
+        # dists_to's arithmetic, by broadcasting; the set drops a repeated origin.
+        for c in {(0.0,) * dimension, tuple(center)}:
+            acc = np.zeros(keep.shape, dtype=np.float64)
+            for k in range(dimension):
+                diff = ((heads if k == 0 else axis) + c[k]) - c[k]
+                acc += (diff * diff).reshape((-1,) + (1,) * (dimension - 1 - k))
+            keep &= np.sqrt(acc, out=acc) <= radius
+        cands = np.flatnonzero(np.pad(keep, [(0, 0)] + [(0, w)] * (dimension - 1)))
+        if seen is None:
+            # Allocated after the first block's candidates: the heap the
+            # greedy leaves behind sets the peak RSS of the walk that follows,
+            # and allocating the flags first raised it by ~1.6 MB at d = 2.
+            # Python ints from a memoryview and bytearray read faster than numpy's.
+            seen = bytearray((min(step, per_axis) + w) * slab)
+            blocked = np.frombuffer(seen, dtype=bool)
+        for p in memoryview(cands):
+            if not seen[p]:
+                blocked[p + off] = True
+        idx = np.unravel_index(cands[~blocked[cands]], (len(heads),) + (side,) * (dimension - 1))
+        kept.append(np.stack([axis[i] + c for i, c in zip((idx[0] + first, *idx[1:]), center)], axis=1))
+        blocked[: w * slab] = blocked[len(heads) * slab : (len(heads) + w) * slab]
+        blocked[w * slab :] = False
+    return kept[0] if len(kept) == 1 else np.concatenate(kept)
 
 
 @lru_cache(maxsize=64)
@@ -248,18 +274,23 @@ class _CellGrid:
         self.top = np.floor(extent / self.h) + 2.0
         widths = self.top.astype(np.int64) + 1
         self.strides = np.append(np.cumprod(widths[:0:-1])[::-1], 1)
-        # Flat offsets to the middle cell of each run of the block, ascending.
-        prefixes = itertools.product((-1, 0, 1), repeat=d - 1)
-        self.runs = np.array([(*o, 0) for o in prefixes]) @ self.strides
+        # Each run's cell offset on the leading axes, and the flat offset to
+        # its middle cell; ascending.
+        self.prefixes = np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
+        self.runs = self.prefixes @ self.strides[:-1]
         keys = self.cell_keys(rows)
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
         # Coordinate k of the sorted rows is cols[k], so gathers are contiguous.
         self.cols = np.ascontiguousarray(rows[self.order].T)
 
+    def cells(self, points: np.ndarray):
+        """Each point's position (x - lo) / h in cell units and its cell."""
+        where = (points - self.lo) / self.h
+        return where, np.clip(np.floor(where) + 1.0, 0.0, self.top)
+
     def cell_keys(self, points: np.ndarray) -> np.ndarray:
-        cells = np.floor((points - self.lo) / self.h) + 1.0
-        return np.clip(cells, 0.0, self.top, out=cells).astype(np.int64) @ self.strides
+        return self.cells(points)[1].astype(np.int64) @ self.strides
 
     def block(self, keys: np.ndarray, runs: np.ndarray | None = None):
         """Start and end in the sorted rows of each run of the block around
@@ -270,6 +301,28 @@ class _CellGrid:
             np.searchsorted(self.keys, middle - 1, "left").T,
             np.searchsorted(self.keys, middle + 1, "right").T,
         )
+
+    def near_block(self, points: np.ndarray):
+        """:meth:`block` around each point's cell, without the cells that lie
+        farther than h * _BLOCK_GUARD from the point.
+
+        On each axis, cell c - 1 lies where - (c - 1) cells below a point in
+        cell c and cell c + 1 lies c - where above it; a cell's gap is the
+        norm of these over the axes on which it is off the point's cell. The
+        end cells of a run are dropped by moving the searched keys inwards,
+        and a run whose middle cell is far becomes empty. The guard's margin
+        covers the rounding of the cell coordinates of both the point and
+        the rows, so no dropped row lies within h / _BLOCK_GUARD."""
+        where, cell = self.cells(points)
+        # Any gap over one cell is far; clipping at 2 keeps the squares finite.
+        below = np.clip(where - (cell - 1.0), 0.0, 2.0) ** 2
+        above = np.clip(cell - where, 0.0, 2.0) ** 2
+        lead = (self.prefixes < 0) @ below[:, :-1].T + (self.prefixes > 0) @ above[:, :-1].T
+        limit = _BLOCK_GUARD**2
+        middle = self.runs[:, None] + cell.astype(np.int64) @ self.strides
+        low = middle - 1 + (lead + below[:, -1] > limit) + (lead > limit)
+        high = middle + 1 - (lead + above[:, -1] > limit)
+        return np.searchsorted(self.keys, low, "left").T, np.searchsorted(self.keys, high, "right").T
 
 
 def _pairs(start: np.ndarray, end: np.ndarray):
@@ -417,8 +470,10 @@ def _nearest_distances(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
 
     A cell grid answers every probe whose nearest row in its 3^d block lies
     within h / ``_BLOCK_GUARD``, which no row outside the block can beat.
-    The other probes retry on a grid of side 2h, and so on; once h spans the
-    rows, every block holds them all.
+    Cells of the block that lie beyond h * ``_BLOCK_GUARD`` are skipped, as
+    no row there can be such an answer. The other probes retry on a grid of
+    side 2h, and so on; once h spans the rows, every block holds them all.
+    The probes are looked up ``_QUERY_CHUNK`` at a time.
     """
     gaps = np.full(len(probes), np.inf)
     todo = np.arange(len(probes))
@@ -427,15 +482,19 @@ def _nearest_distances(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
         grid = _CellGrid(rows, h)
         keys = grid.cell_keys(probes[todo])
         todo = todo[np.argsort(keys, kind="stable")]
-        cols = np.ascontiguousarray(probes[todo].T)
         best = np.full(len(todo), np.inf)
-        for first, size, p in _pairs(*grid.block(np.sort(keys))):
-            here = slice(first, first + len(size))
-            # Each probe's pairs are adjacent: reduce them in one run.
-            heads = (np.cumsum(size) - size)[size > 0]
-            if len(heads):
-                dist = _pair_distances(grid, p, cols[:, here], size)
-                best[here][size > 0] = np.minimum.reduceat(dist, heads)
+        for a in range(0, len(todo), _QUERY_CHUNK):
+            batch = probes[todo[a : a + _QUERY_CHUNK]]
+            start, end = grid.near_block(batch)
+            cols = np.ascontiguousarray(batch.T)
+            near = best[a : a + _QUERY_CHUNK]
+            for first, size, p in _pairs(start, end):
+                here = slice(first, first + len(size))
+                # Each probe's pairs are adjacent: reduce them in one run.
+                heads = (np.cumsum(size) - size)[size > 0]
+                if len(heads):
+                    dist = _pair_distances(grid, p, cols[:, here], size)
+                    near[here][size > 0] = np.minimum.reduceat(dist, heads)
         done = best <= grid.h / _BLOCK_GUARD
         gaps[todo[done]] = best[done]
         todo = todo[~done]
@@ -470,12 +529,14 @@ def check_separation(net: Net) -> bool:
         return True
     grid = _CellGrid(arr, s * _BLOCK_GUARD)
     forward = grid.runs[grid.runs >= 0]
-    start, end = grid.block(grid.keys, forward)
-    # The run through a row's own cell starts just after the row itself.
-    start[:, 0] = np.arange(len(arr)) + 1
-    for first, size, j in _pairs(start, end):
-        if np.any(_pair_distances(grid, j, grid.cols[:, first : first + len(size)], size) < s):
-            return False
+    for a in range(0, len(arr), _QUERY_CHUNK):
+        start, end = grid.block(grid.keys[a : a + _QUERY_CHUNK], forward)
+        # The run through a row's own cell starts just after the row itself.
+        start[:, 0] = np.arange(a, a + len(start)) + 1
+        for first, size, j in _pairs(start, end):
+            rows = grid.cols[:, a + first : a + first + len(size)]
+            if np.any(_pair_distances(grid, j, rows, size) < s):
+                return False
     return True
 
 

@@ -16,7 +16,7 @@ from hashlib import blake2b
 import numpy as np
 
 from .geometry import Ball, Point, distance, origin
-from .nets import dists_to, points_as_array, sample_in_ball
+from .nets import dists_to, sample_in_ball
 
 __all__ = [
     "ORACLE_KINDS",
@@ -336,7 +336,7 @@ def infer_lipschitz(history: QueryHistory, p: Point) -> float:
     min over recorded (p', v) of |pp'| + v. 1-Lipschitz in p."""
     if len(history) == 0:
         raise ValueError("history is empty")
-    arr = points_as_array(history.points)
+    arr = np.array([q.coords for q in history.points], dtype=np.float64)
     totals = dists_to(arr, p.coords) + np.array(history.values, dtype=np.float64)
     return float(np.min(totals))
 

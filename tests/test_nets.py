@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,13 @@ from predsearch import (
     separated_set,
     visit_order,
 )
-from predsearch.nets import DEFAULT_CANDIDATE_CAP, _nearest_distances, _unit_net_points, dists_to
+from predsearch.nets import (
+    _QUERY_CHUNK,
+    DEFAULT_CANDIDATE_CAP,
+    _nearest_distances,
+    _unit_net_points,
+    dists_to,
+)
 from predsearch.strategies import _unit_walk
 
 
@@ -167,6 +174,23 @@ def test_check_separation_matches_all_pairs_reference(net):
     assert check_separation(net) == _reference_separation(net)
 
 
+def test_certificates_match_references_across_query_batches():
+    # More rows and probes than one grid lookup takes; the planted pair lies
+    # at the far corner, so it sorts into the last batch of rows.
+    rng = np.random.default_rng(7)
+    rows = rng.uniform(0.0, 1.0, size=(2 * _QUERY_CHUNK + 500, 3))
+    probes = rng.uniform(-0.5, 1.5, size=(3 * _QUERY_CHUNK, 3))
+    brute = np.array([np.min(dists_to(rows, probe)) for probe in probes])
+    assert np.array_equal(_nearest_distances(rows, probes), brute)
+    closest = min(float(np.min(dists_to(rows[i + 1 :], rows[i]))) for i in range(len(rows) - 1))
+    pair = np.array([(2.0, 2.0, 2.0), (2.0, 2.0, 2.0 + closest / 2)])
+    planted = float(dists_to(pair[1:], pair[0])[0])
+    rows = np.concatenate((rows, pair))
+    for separation, ok in ((planted, True), (float(np.nextafter(planted, np.inf)), False)):
+        net = Net(rows=rows, ball=Ball(origin(3), 4.0), cover_radius=4.0, separation=separation)
+        assert check_separation(net) is ok
+
+
 def test_check_separation_finds_a_pair_split_by_cell_rounding():
     # In cells of side exactly s, the rounding of (x - lo) / s puts p and q
     # two cells apart although |q - p| < s; the guard keeps them neighbours.
@@ -230,8 +254,10 @@ def _reference_greedy(d, radius, spacing, separation, center):
 
 # The cases of the benchmark's nets, (3, 0.08) and (4, 0.3), are pinned below:
 # their reference takes seconds.
+# (4, 0.4) and (5, 0.7) walk their lattices in 4 and 10 blocks of slabs.
 @pytest.mark.parametrize(
-    "d, eps", [(2, 1 / 48), (2, 1 / 24), (3, 1 / 8), (1, 1 / 16), (2, 0.25), (4, 0.5)]
+    "d, eps",
+    [(2, 1 / 48), (2, 1 / 24), (3, 1 / 8), (1, 1 / 16), (2, 0.25), (4, 0.5), (4, 0.4), (5, 0.7)],
 )
 def test_unit_net_points_match_reference_greedy(d, eps):
     ref = _reference_greedy(d, 1.0, (eps / 3.0) / math.sqrt(d), 2.0 * eps / 3.0, (0.0,) * d)
@@ -274,13 +300,54 @@ def test_separated_set_matches_reference_greedy(center, radius, separation):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    st.integers(1, 3).flatmap(lambda d: st.tuples(*[st.floats(-5.0, 5.0)] * d)),
+    st.integers(1, 4).flatmap(
+        # At d = 4, separations from 0.45 radii keep the lattice within ~0.5M
+        # cells, walked in up to 3 blocks of slabs.
+        lambda d: st.tuples(
+            st.tuples(*[st.floats(-5.0, 5.0)] * d), st.floats(0.25 if d < 4 else 0.45, 8.0)
+        )
+    ),
     st.floats(0.0, 1.0),
-    st.floats(0.25, 8.0),
 )
-def test_separated_set_matches_reference_greedy_on_random_balls(center, radius, ratio):
+def test_separated_set_matches_reference_greedy_on_random_balls(case, radius):
     # Separations up to 8 radii make the stencil wider than the lattice.
+    center, ratio = case
     test_separated_set_matches_reference_greedy(center, radius, max(radius, 0.01) * ratio)
+
+
+def test_net_build_and_covering_check_stay_within_memory_ceiling():
+    # The greedy keeps only a window of lattice slabs and the covering check
+    # looks its probes up in fixed batches. Over the whole cube and all probes
+    # at once, these traced peaks were ~39 MiB and ~13 MiB.
+    net = build_net(Ball(origin(4), 1.0), 0.3)
+    tracemalloc.start()
+    try:
+        _unit_net_points.__wrapped__(4, 0.3, DEFAULT_CANDIDATE_CAP)
+        greedy_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert check_covering(net, 10_000, seed=0).ok
+        cover_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert greedy_peak <= 8 * 2**20
+    assert cover_peak <= 8 * 2**20
+
+
+def test_candidate_cap_is_checked_before_allocating():
+    # d = 4, eps = 0.2: 13.8M cube cells against the default cap of 5M.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CandidateCapExceeded, match="13845841 lattice candidates"):
+            _unit_net_points.__wrapped__(4, 0.2, DEFAULT_CANDIDATE_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # The cap counts cube cells: 5^2 cells at d = 2, radius/spacing = 2.
+    ball = Ball(origin(2), 1.0)
+    assert len(separated_set(ball, 1.5 * math.sqrt(2.0), candidate_cap=25)) > 0
+    with pytest.raises(CandidateCapExceeded):
+        separated_set(ball, 1.5 * math.sqrt(2.0), candidate_cap=24)
 
 
 def _brute_greedy(points, start):

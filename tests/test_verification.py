@@ -29,7 +29,6 @@ from predsearch import (
     run_strategy,
     tsp_ball_lower_bound,
 )
-from predsearch.nets import points_as_array
 
 
 def test_tsp_floor_zero_cases():
@@ -186,7 +185,7 @@ def test_adversarial_instance_needs_targets():
 
 def test_count_visited_balls():
     def rows(*points):
-        return points_as_array(points)
+        return np.array([p.coords for p in points], dtype=np.float64)
 
     centers = [point(0.0, 0.0), point(1.0, 0.0), point(2.0, 0.0)]
     path = rows(point(-1.0, 0.05), point(1.2, 0.05))
