@@ -72,17 +72,22 @@ class RunConfig:
     seed: int
 
 
+def _random_direction(rng: np.random.Generator, d: int) -> np.ndarray:
+    """Uniform unit vector in R^d: a standard normal draw over its norm,
+    drawn again if it is all zeros."""
+    while True:
+        direction = rng.normal(size=d)
+        norm = math.sqrt(float(direction @ direction))
+        if norm != 0.0:
+            return direction / norm
+
+
 def _sample_target(d: int, radius: float, seed: int) -> Point:
     """Uniform point in the closed ball B(o, radius)."""
     rng = np.random.default_rng(seed)
-    direction = rng.normal(size=d)
-    norm = math.sqrt(float(direction @ direction))
-    if norm == 0.0:
-        direction = np.zeros(d)
-        direction[0] = 1.0
-        norm = 1.0
+    direction = _random_direction(rng, d)
     r = radius * rng.uniform() ** (1.0 / d)
-    return Point(tuple(direction / norm * r))
+    return Point(tuple(direction * r))
 
 
 def parse_run_config(doc: dict) -> RunConfig:
@@ -221,13 +226,9 @@ def _sweep_trial(d: int, c: float, trial: int, seed: int, delta: float):
     """One sweep cell trial: a fresh random target and noise oracle, searched
     with both the known-factor and the doubling strategy."""
     rng = np.random.default_rng(derive_seed(seed, "target", d, fmt12(c), trial))
-    direction = rng.normal(size=d)
-    norm = math.sqrt(float(direction @ direction))
-    while norm == 0.0:
-        direction = rng.normal(size=d)
-        norm = math.sqrt(float(direction @ direction))
+    direction = _random_direction(rng, d)
     radius = rng.uniform(0.5, 2.0)
-    target = Point(tuple(direction / norm * radius))
+    target = Point(tuple(direction * radius))
     oracle_seed = derive_seed(seed, "oracle", d, fmt12(c), trial)
     rows = []
     for kind in ("known_c", "unknown_c"):

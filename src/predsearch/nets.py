@@ -47,7 +47,8 @@ DEFAULT_CANDIDATE_CAP = 5_000_000
 _BLOCK_GUARD = 1.0 + 1e-9
 
 # Nearest neighbours kept per point for the greedy walk. More neighbours
-# make fewer steps fall back to a scan, at n * 16 bytes each.
+# make fewer steps fall back to a search of wider blocks of cells, at
+# n * 16 bytes each.
 _WALK_NEIGHBORS = 8
 
 # Cell grid sizes, as average rows per 3^d block for the walk's neighbour
@@ -55,7 +56,7 @@ _WALK_NEIGHBORS = 8
 # pairs per grid lookup.
 _WALK_BLOCK_ROWS = 27.0
 _COVER_CELL_ROWS = 0.25
-_PAIR_CHUNK = 1 << 16
+_PAIR_CHUNK = 1 << 14
 # Queries per grid lookup of the certificates.
 _QUERY_CHUNK = 1 << 10
 
@@ -292,15 +293,26 @@ class _CellGrid:
     def cell_keys(self, points: np.ndarray) -> np.ndarray:
         return self.cells(points)[1].astype(np.int64) @ self.strides
 
-    def block(self, keys: np.ndarray, runs: np.ndarray | None = None):
-        """Start and end in the sorted rows of each run of the block around
-        each query key: two (len(keys), len(runs)) arrays. The searches go
-        run by run, which is faster when the keys are sorted."""
+    def block(self, keys: np.ndarray, runs: np.ndarray | None = None, radius: int = 1):
+        """Start and end in the sorted rows of each run of the block of cells
+        within ``radius`` of each query key's cell: two (len(keys), len(runs))
+        arrays. ``runs`` holds the runs' flat offsets, from :meth:`runs_within`
+        for the radius; the default is the 3^d block's. The searches go run
+        by run, which is faster when the keys are sorted."""
         middle = (self.runs if runs is None else runs)[:, None] + keys
         return (
-            np.searchsorted(self.keys, middle - 1, "left").T,
-            np.searchsorted(self.keys, middle + 1, "right").T,
+            np.searchsorted(self.keys, middle - radius, "left").T,
+            np.searchsorted(self.keys, middle + radius, "right").T,
         )
+
+    def runs_within(self, radius: int) -> np.ndarray:
+        """Flat offsets of the runs of the (2 radius + 1)^d block: one per
+        cell offset within ``radius`` on each leading axis. An offset past
+        the grid's border aliases another run of cells, which only adds rows."""
+        off = np.zeros(1, dtype=np.int64)
+        for stride in self.strides[:-1]:
+            off = np.add.outer(off, np.arange(-radius, radius + 1) * stride).ravel()
+        return off
 
     def near_block(self, points: np.ndarray):
         """:meth:`block` around each point's cell, without the cells that lie
@@ -364,7 +376,7 @@ def _neighbour_lists(arr: np.ndarray, k: int):
     """Each row's nearest other rows in its 3^d block of a cell grid, up to
     k of them, ranked by exact :func:`dists_to` distance and then by index;
     short lists are padded with the row itself at distance inf. Returns the
-    (n, k) indices and distances and the grid's cell side."""
+    (n, k) indices and distances and the grid."""
     n = len(arr)
     grid = _CellGrid(arr, _cell_side(arr, _WALK_BLOCK_ROWS / 3 ** arr.shape[1]))
     nbrs = np.empty((n, k), dtype=np.intp)
@@ -386,7 +398,7 @@ def _neighbour_lists(arr: np.ndarray, k: int):
         i = grid.order[here]
         exact[i] = dist
         nbrs[i] = np.where(dist < np.inf, np.take_along_axis(index, rank, axis=-1), i[:, None])
-    return nbrs, exact, grid.h
+    return nbrs, exact, grid
 
 
 def _visit_indices(arr: np.ndarray, start) -> np.ndarray:
@@ -401,32 +413,67 @@ def _visit_indices(arr: np.ndarray, start) -> np.ndarray:
     than min(h, k-th listed distance) / ``_BLOCK_GUARD``: an unlisted row
     either lies outside the block, at h / _BLOCK_GUARD or more, or in it at
     the k-th distance or more, so it can neither win nor tie. Otherwise the
-    step scans every unvisited row.
+    step searches the blocks of cells within r = 2, 4, 8, ... of its row's
+    cell and takes the nearest unvisited row of the first block where that
+    row lies closer than r * h / _BLOCK_GUARD, which by the same argument no
+    row outside the block can beat, or of the first block that spans the
+    grid. Once the unvisited rows are fewer than a block is expected to
+    hold, the step measures them all instead.
     """
     n, d = arr.shape
+    k = _WALK_NEIGHBORS
     # Pre-sorting lexicographically makes the smallest index the lex-smallest tie.
-    lex = np.lexsort(tuple(arr[:, k] for k in reversed(range(d))))
+    lex = np.lexsort(tuple(arr[:, a] for a in reversed(range(d))))
     arr = arr[lex]
-    nbrs, exact, h = _neighbour_lists(arr, _WALK_NEIGHBORS)
-    reach = (np.minimum(exact[:, -1], h) / _BLOCK_GUARD).tolist()
-    listed, dists = nbrs.tolist(), exact.tolist()
-
-    # Python ints and floats from lists and a bytearray read faster than numpy's.
+    nbrs, exact, grid = _neighbour_lists(arr, k)
+    # Flat tables and a bytearray: Python ints and floats read from
+    # memoryviews faster than numpy's scalars.
+    reach = memoryview(np.minimum(exact[:, -1], grid.h) / _BLOCK_GUARD)
+    listed, dists = memoryview(nbrs.ravel()), memoryview(exact.ravel())
     seen = bytearray(n)
     visited = np.frombuffer(seen, dtype=bool)
-    order = []
+    keys = np.empty(n, dtype=np.int64)
+    keys[grid.order] = grid.keys
+    span = int(grid.top.max())
+    runs = {}
+    rest = None
+
+    def nearest_unvisited(current: int, left: int) -> int:
+        nonlocal rest
+        here = arr[current][:, None]
+        r = 2
+        # While a block holds fewer rows than are left, on average.
+        while left > (2 * r + 1) ** d * _WALK_BLOCK_ROWS / 3**d:
+            if r not in runs:
+                runs[r] = grid.runs_within(r)
+            _, _, p = next(_pairs(*grid.block(keys[current : current + 1], runs[r], r)))
+            p = grid.order[p]
+            p = p[~visited[p]]
+            if len(p):
+                dist = dists_to(arr[p], here)
+                best = dist.min()
+                if best < r * grid.h / _BLOCK_GUARD or r >= span:
+                    return int(p[dist == best].min())
+            r *= 2
+        # Measure every unvisited row, compacting the list of the last time.
+        rest = np.flatnonzero(~visited) if rest is None else rest[~visited[rest]]
+        return int(rest[np.argmin(dists_to(arr[rest], here))])
+
+    order = np.empty(n, dtype=np.intp)
+    steps = memoryview(order)
     current = int(np.argmin(dists_to(arr, start)))
-    for step in range(1, n + 1):
+    for step in range(n):
         seen[current] = True
-        order.append(current)
-        for j, dist in zip(listed[current], dists[current]):
+        steps[step] = current
+        first = current * k
+        for t in range(first, first + k):
+            j = listed[t]
             if not seen[j]:
                 break
-        if not seen[j] and dist < reach[current]:
+        if not seen[j] and dists[t] < reach[current]:
             current = j
-        elif step < n:
-            rest = np.flatnonzero(~visited)
-            current = int(rest[np.argmin(dists_to(arr[rest], arr[current]))])
+        elif step + 1 < n:
+            current = nearest_unvisited(current, n - step - 1)
     return lex[order]
 
 
@@ -437,9 +484,11 @@ def visit_order(net: Net, start: Point) -> list[Point]:
     nearest unvisited point, measured by :func:`dists_to`; ties go to the
     lexicographically smallest point. The result is a permutation of
     ``net.points``. Cost: O(n log n) for a cell grid that lists every
-    point's k = 8 nearest neighbours in its block of cells, O(k) per step,
-    plus an O(n) scan only at steps where no listed neighbour is provably
-    the nearest unvisited point.
+    point's k = 8 nearest neighbours in its block of cells and O(k) per
+    step. Only at steps where no listed neighbour is provably the nearest
+    unvisited point, a search of blocks of cells that widen until they hold
+    it, or a pass over the unvisited points once they are fewer than such a
+    block holds; either costs O(n) at most.
     """
     if len(net) == 0:
         raise ValueError("cannot order an empty net")

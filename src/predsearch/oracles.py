@@ -124,12 +124,16 @@ class QueryRecorder:
     the values queried. It rejects a batch with a non-finite row before
     logging anything. A subclass that answers whole chunks defines
     ``_answer_chunk`` and names its own ``query`` as ``_chunked_query``;
-    the rows then go to ``_answer_chunk`` in chunks of 16, 32, 64, ... rows.
+    the rows then go to ``_answer_chunk`` in chunks of 16, 32, 64, ... rows,
+    up to ``_LAST_CHUNK`` rows.
     Otherwise, and wherever ``query`` is overridden or wrapped, every row
     goes through ``query``.
     """
 
     _FIRST_CHUNK = 16
+    # A chunk's answers may measure every row against every candidate
+    # target, so the doubling stops here to bound that working memory.
+    _LAST_CHUNK = 1 << 10
     # The ``query`` whose answers ``_answer_chunk`` reproduces row for row.
     _chunked_query = None
 
@@ -184,7 +188,7 @@ class QueryRecorder:
             if self._answer_chunk(chunk, stop):
                 break
             start += len(chunk)
-            size *= 2
+            size = min(2 * size, self._LAST_CHUNK)
 
     def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
         """Query the rows of a C-contiguous float64 array in order until a

@@ -1,14 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import predsearch
 from predsearch import point, render_svg, search_known_c
-from predsearch.cli import main
+from predsearch.cli import _random_direction, main
 from predsearch.oracles import OracleSpec, PredictionOracle
 from predsearch.strategies import StrategyConfig
 
@@ -263,6 +265,22 @@ def test_cli_runs_with_scipy_blocked(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "covering: ok" in proc.stdout
     assert (tmp_path / "s.csv").exists() and (tmp_path / "a.svg").exists()
+
+
+def test_random_direction_draws_again_after_a_zero_draw():
+    class Stub:
+        def __init__(self, draws):
+            self.draws = list(draws)
+
+        def normal(self, size):
+            return np.array(self.draws.pop(0))
+
+    rng = Stub([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [0.0, 3.0, -4.0]])
+    assert _random_direction(rng, 3).tolist() == [0.0, 0.6, -0.8]
+    assert rng.draws == []
+    draw = np.random.default_rng(5).normal(size=4)
+    direction = _random_direction(np.random.default_rng(5), 4)
+    assert direction.tolist() == (draw / math.sqrt(float(draw @ draw))).tolist()
 
 
 def test_svg_requires_d2():

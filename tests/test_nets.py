@@ -28,9 +28,12 @@ from predsearch import (
 )
 from predsearch.nets import (
     _QUERY_CHUNK,
+    _WALK_NEIGHBORS,
     DEFAULT_CANDIDATE_CAP,
     _nearest_distances,
+    _neighbour_lists,
     _unit_net_points,
+    _visit_indices,
     dists_to,
 )
 from predsearch.strategies import _unit_walk
@@ -437,6 +440,43 @@ def test_visit_order_matches_reference_on_clustered_clouds():
         assert visit_order(net, start) == _reference_order(net, start)
 
 
+def test_visit_order_matches_reference_on_clouds_with_far_outliers():
+    # A dense cluster and a few outliers out to ~30 radii, walked from the
+    # first row or from the farthest one: the nearest unvisited row is often
+    # several cells of the walk's grid away, while many rows are unvisited,
+    # so the steps search blocks of growing radius or measure the rest.
+    rng = np.random.default_rng(11)
+    longest = []
+    for d in (1, 2, 3):
+        for dense, far in ((300, 8), (300, 30), (1000, 30)):
+            outliers = rng.normal(size=(far, d))
+            outliers *= (10.0 ** rng.uniform(0.3, 1.5, far) / np.linalg.norm(outliers, axis=1))[:, None]
+            rows = np.round(np.concatenate([rng.normal(size=(dense, d)), outliers]), 3)
+            net = Net(rows=rows, ball=Ball(origin(d), 100.0), cover_radius=100.0, separation=0.0)
+            for start in (Point(rows[0]), Point(rows[np.argmax(np.linalg.norm(rows, axis=1))])):
+                order = visit_order(net, start)
+                assert order == _reference_order(net, start)
+                walk = np.array([p.coords for p in order])
+                h = _neighbour_lists(net.rows, _WALK_NEIGHBORS)[2].h
+                longest.append(np.max(np.linalg.norm(np.diff(walk, axis=0), axis=1)) / h)
+    # Every walk makes a jump of 2 cells or more, and some of 32 or more.
+    assert min(longest) >= 2.0 and max(longest) >= 32.0
+
+
+def test_visit_order_of_the_benchmark_net_stays_within_memory_ceiling():
+    # The neighbour lists are built in bounded pieces and the step loop reads
+    # flat numpy tables: ~5.2 MiB traced, against ~12 MiB with per-row lists.
+    rows = np.array(_unit_net_points(2, 1 / 48, DEFAULT_CANDIDATE_CAP))
+    tracemalloc.start()
+    try:
+        _visit_indices(rows, (0.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 13447
+    assert peak <= 7 * 2**20
+
+
 def test_unit_walk_of_benchmark_net_is_pinned():
     # The lowerbound c=24 d=2 walk (13,447 points), recorded with the O(n^2)
     # implementation; checking it against _reference_order would take seconds.
@@ -445,6 +485,17 @@ def test_unit_walk_of_benchmark_net_is_pinned():
     assert hashlib.blake2b(walk.tobytes()).hexdigest() == (
         "26100248a82a66c6212d19108771f782fc29d70d3039a1b6123e147e0c89ae70"
         "f1a046363c003f83dcdba8756ff81d82d59789f2da3b4ce76cee6a4e8ceebdb6"
+    )
+
+
+def test_unit_walk_of_d3_net_is_pinned():
+    # The sweep --d 3 --c 8 walk (51,636 points, 4,730 steps whose listed
+    # neighbours are all visited), recorded with the scan-fallback walk.
+    walk = _unit_walk(3, 1 / 16, DEFAULT_CANDIDATE_CAP)
+    assert walk.shape == (51636, 3)
+    assert hashlib.blake2b(walk.tobytes()).hexdigest() == (
+        "8bc66117f4a138e1ad57f71cf57eb5049dbd8b55460536b76438868056deaaa4"
+        "c046a0640e5db5637a6409580faab0c7fdcb90063879a09d3e5486e132100c4d"
     )
 
 

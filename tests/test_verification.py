@@ -29,6 +29,8 @@ from predsearch import (
     run_strategy,
     tsp_ball_lower_bound,
 )
+from predsearch.nets import DEFAULT_CANDIDATE_CAP
+from predsearch.strategies import _unit_walk
 
 
 def test_tsp_floor_zero_cases():
@@ -378,3 +380,25 @@ def test_wrapped_adversary_query_hears_every_row(monkeypatch):
     values = instance.query_rows(rows, -1.0, 4)
     assert heard == [tuple(r) for r in rows.tolist()]
     assert values.tolist() == [v for _, v in instance.query_log]
+
+
+def test_adversary_answers_a_long_walk_in_bounded_chunks(monkeypatch):
+    # The lowerbound c=24 d=2 walk: unbounded doubling handed the adversary
+    # a last chunk of 5,271 rows, each measured against every candidate.
+    walk = _unit_walk(2, 1 / 48, DEFAULT_CANDIDATE_CAP)
+    instance = build_adversarial_instance(24.0, 2)
+    sizes = []
+    answer_chunk = instance._answer_chunk
+
+    def recorded(rows, stop):
+        sizes.append(len(rows))
+        return answer_chunk(rows, stop)
+
+    monkeypatch.setattr(instance, "_answer_chunk", recorded)
+    values = instance.query_rows(walk, -1.0, len(walk))
+    assert len(walk) == 13447 and sum(sizes) == len(walk)
+    assert max(sizes) == AdversarialInstance._LAST_CHUNK
+    per_row = _PerRowAdversary(24.0, instance.targets)
+    assert repr(values.tolist()) == repr(per_row.query_rows(walk, -1.0, len(walk)).tolist())
+    assert instance.live == per_row.live
+
