@@ -9,7 +9,6 @@ against the theoretical guarantees.
 from .geometry import (
     Ball,
     Point,
-    PolyPath,
     contains,
     cumulative_lengths,
     distance,
@@ -54,9 +53,6 @@ from .strategies import (
     one_step,
     phase_endpoints,
     run_strategy,
-    search_exact,
-    search_known_c,
-    search_unknown_c,
     step_length_bound,
     trilaterate,
 )

@@ -94,15 +94,17 @@ def parse_run_config(doc: dict) -> RunConfig:
     try:
         d = int(doc["d"])
         seed = int(doc.get("seed", 0))
+        radius = float(doc.get("target_radius", 1.0))
         raw_target = doc["target"]
         oracle_doc = dict(doc["oracle"])
         strategy_doc = dict(doc["strategy"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config structure: {exc}") from exc
     if d < 1:
         raise ConfigError("d must be >= 1")
     if raw_target == "random":
-        radius = float(doc.get("target_radius", 1.0))
+        if not 0.0 <= radius < math.inf:
+            raise ConfigError(f"target_radius must be finite and >= 0, got {radius!r}")
         target = _sample_target(d, radius, derive_seed(seed, "target"))
     else:
         try:
@@ -120,7 +122,7 @@ def parse_run_config(doc: dict) -> RunConfig:
             seed=oracle_doc.pop("seed", derive_seed(seed, "oracle")),
             alpha=oracle_doc.pop("alpha", None),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad oracle config: {exc}") from exc
     if oracle_doc:
         raise ConfigError(f"unknown oracle keys: {sorted(oracle_doc)}")
@@ -133,7 +135,7 @@ def parse_run_config(doc: dict) -> RunConfig:
             snap_integral=strategy_doc.pop("snap_integral", False),
             max_queries=strategy_doc.pop("max_queries", 10_000_000),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad strategy config: {exc}") from exc
     if strategy_doc:
         raise ConfigError(f"unknown strategy keys: {sorted(strategy_doc)}")
@@ -262,12 +264,12 @@ def _sweep_trial(d: int, c: float, trial: int, seed: int, delta: float):
 
 
 def cmd_sweep(args) -> int:
-    if any(c < 1.0 for c in args.c):
-        raise ConfigError("all sweep c values must be >= 1")
+    if not all(1.0 <= c < math.inf for c in args.c):
+        raise ConfigError("all sweep c values must be finite and >= 1")
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if min(args.d) < 1 or not args.delta > 0.0:
-        raise ConfigError("need d >= 1 and delta > 0")
+    if min(args.d) < 1 or not 0.0 < args.delta < math.inf:
+        raise ConfigError("need d >= 1 and finite delta > 0")
     rows = []
     for d in args.d:
         for c in args.c:
@@ -315,12 +317,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_lowerbound(args) -> int:
-    if not args.c > 4.0:
-        raise ConfigError("the adversarial construction needs c > 4")
+    if not 4.0 < args.c < math.inf:
+        raise ConfigError("the adversarial construction needs a finite c > 4")
     if args.strategy not in ("known_c", "unknown_c"):
         raise ConfigError("strategy must be known_c or unknown_c")
-    if args.d < 1 or not args.delta > 0.0:
-        raise ConfigError("need d >= 1 and delta > 0")
+    if args.d < 1 or not 0.0 < args.delta < math.inf:
+        raise ConfigError("need d >= 1 and finite delta > 0")
     instance = build_adversarial_instance(args.c, args.d)
     config = StrategyConfig(
         kind=args.strategy,
@@ -351,8 +353,8 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_net(args) -> int:
-    if args.d < 1 or args.samples < 1 or not 0.0 < args.eps <= args.r:
-        raise ConfigError("need d >= 1, samples >= 1 and 0 < eps <= r")
+    if args.d < 1 or args.samples < 1 or not 0.0 < args.eps <= args.r < math.inf:
+        raise ConfigError("need d >= 1, samples >= 1 and 0 < eps <= r < inf")
     net = build_net(Ball(origin(args.d), args.r), args.eps)
     lower = net_size_lower_bound(args.r, args.eps, args.d)
     upper = net_size_upper_bound(args.r, args.eps, args.d)

@@ -1,4 +1,4 @@
-"""Elementary Euclidean geometry in R^d: points, balls, polyline paths.
+"""Elementary Euclidean geometry in R^d: points, balls, polyline lengths.
 
 Dimension is a runtime value, all reals are 64-bit floats, and every set
 membership test uses exact closed inequalities (no epsilon). All types are
@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 __all__ = [
     "Point",
     "Ball",
-    "PolyPath",
     "point",
     "origin",
     "distance",
@@ -74,29 +72,6 @@ class Ball:
         return self.center.dimension
 
 
-@dataclass(frozen=True)
-class PolyPath:
-    """Polyline through >= 1 vertices, all of the same dimension."""
-
-    vertices: tuple[Point, ...]
-
-    def __post_init__(self):
-        vertices = tuple(self.vertices)
-        if len(vertices) == 0:
-            raise ValueError("a path needs at least one vertex")
-        d = vertices[0].dimension
-        if any(v.dimension != d for v in vertices):
-            raise ValueError("all path vertices must share one dimension")
-        object.__setattr__(self, "vertices", vertices)
-
-    @property
-    def dimension(self) -> int:
-        return self.vertices[0].dimension
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
 def _check_same_dimension(p: Point, q: Point) -> None:
     if p.dimension != q.dimension:
         raise ValueError(f"dimension mismatch: {p.dimension} vs {q.dimension}")
@@ -139,10 +114,7 @@ def cumulative_lengths(rows: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([0.0], np.sqrt(acc))))
 
 
-def path_length(path: PolyPath | np.ndarray | Iterable[Point]) -> float:
-    """Total length of a polyline given as a PolyPath, Points, or an (n, d)
-    array of vertex rows; a single vertex has length 0."""
-    if not isinstance(path, np.ndarray):
-        vertices = path.vertices if isinstance(path, PolyPath) else tuple(path)
-        path = np.array([v.coords for v in vertices], dtype=np.float64, ndmin=2)
-    return float(cumulative_lengths(path)[-1])
+def path_length(rows: np.ndarray) -> float:
+    """Total length of the polyline through the rows of an (n, d) array; a
+    single vertex has length 0."""
+    return float(cumulative_lengths(rows)[-1])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +27,7 @@ __all__ = [
     "Net",
     "CoverReport",
     "CandidateCapExceeded",
-    "DEFAULT_CANDIDATE_CAP",
+    "CANDIDATE_CAP",
     "build_net",
     "visit_order",
     "check_covering",
@@ -38,7 +38,9 @@ __all__ = [
     "sample_in_ball",
 ]
 
-DEFAULT_CANDIDATE_CAP = 5_000_000
+# Most lattice cube cells a net or separated set may need; more raise
+# CandidateCapExceeded before anything is allocated.
+CANDIDATE_CAP = 5_000_000
 
 # A pair at dists_to distance below h / _BLOCK_GUARD lies in neighbouring
 # cells of side h (see _CellGrid): the guard absorbs the rounding of the
@@ -66,18 +68,17 @@ _GREEDY_BLOCK_CELLS = 1 << 18
 
 
 class CandidateCapExceeded(RuntimeError):
-    """The lattice would need more candidates than the configured cap."""
+    """The lattice would need more candidate cells than ``CANDIDATE_CAP``."""
 
 
 @dataclass(frozen=True, eq=False)
 class Net:
     """Finite point set in a ball with covering / separation certificates.
 
-    ``rows`` holds the points as a read-only (n, d) float64 array; ``points``
-    is a Point view built on first access. ``cover_radius`` is the claimed
-    covering radius (checked empirically by :func:`check_covering`),
-    ``separation`` the claimed pairwise minimum distance (checked exactly by
-    :func:`check_separation`).
+    ``rows`` holds the points as a read-only (n, d) float64 array.
+    ``cover_radius`` is the claimed covering radius (checked empirically by
+    :func:`check_covering`), ``separation`` the claimed pairwise minimum
+    distance (checked exactly by :func:`check_separation`).
     """
 
     rows: np.ndarray
@@ -91,10 +92,6 @@ class Net:
             raise ValueError("non-finite coordinate in the net rows")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
-
-    @cached_property
-    def points(self) -> tuple[Point, ...]:
-        return tuple(map(Point, self.rows.tolist()))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -124,7 +121,7 @@ def dists_to(arr: np.ndarray, coords) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int, cap: int, center):
+def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int, center):
     """Greedy maximal separated subset, in lexicographic order, of the lattice
     ``spacing * Z^d`` in the closed ball of ``radius``, shifted by ``center``
     and kept where it also lies in B(center, radius).
@@ -138,14 +135,15 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
     The cube of (2k+1)^d cells is walked in blocks of axis-0 slabs, so the
     working memory is a block plus the w = isqrt(block_sq) slabs a block's
     stencils reach past it: about (w + 1) * (2k+1)^(d-1) cells once a slab
-    outgrows ``_GREEDY_BLOCK_CELLS``. The cap on cube cells is checked first.
+    outgrows ``_GREEDY_BLOCK_CELLS``. ``CANDIDATE_CAP`` on cube cells is
+    checked first.
     """
     k_max = int(math.floor(radius / spacing)) if radius > 0 else 0
     per_axis = 2 * k_max + 1
     total = per_axis**dimension
-    if total > cap:
+    if total > CANDIDATE_CAP:
         raise CandidateCapExceeded(
-            f"{total} lattice candidates exceed the cap of {cap} "
+            f"{total} lattice candidates exceed the cap of {CANDIDATE_CAP} "
             f"(d={dimension}, radius/spacing={radius / spacing:.3g})"
         )
     axis = np.arange(-k_max, k_max + 1, dtype=np.float64) * spacing
@@ -197,7 +195,7 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
 
 
 @lru_cache(maxsize=64)
-def _unit_net_points(dimension: int, eps: float, cap: int):
+def _unit_net_points(dimension: int, eps: float):
     """Net point coordinates for the unit ball at the origin.
 
     The construction is scale and translation invariant, so nets for
@@ -205,12 +203,12 @@ def _unit_net_points(dimension: int, eps: float, cap: int):
     builds with the same eps/radius ratio cheap.
     """
     spacing = (eps / 3.0) / math.sqrt(dimension)
-    pts = _lattice_greedy(dimension, 1.0, spacing, 4 * dimension, cap, (0.0,) * dimension)
+    pts = _lattice_greedy(dimension, 1.0, spacing, 4 * dimension, (0.0,) * dimension)
     pts.flags.writeable = False
     return pts
 
 
-def build_net(ball: Ball, eps: float, candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> Net:
+def build_net(ball: Ball, eps: float) -> Net:
     """Deterministic eps-net for a closed ball.
 
     Returns a net with cover radius eps and separation 2*eps/3. Identical
@@ -223,7 +221,7 @@ def build_net(ball: Ball, eps: float, candidate_cap: int = DEFAULT_CANDIDATE_CAP
         raise ValueError(f"eps must be > 0, got {eps!r}")
     if eps > ball.radius:
         raise ValueError(f"eps={eps!r} exceeds ball radius {ball.radius!r}")
-    unit = _unit_net_points(ball.dimension, eps / ball.radius, candidate_cap)
+    unit = _unit_net_points(ball.dimension, eps / ball.radius)
     center = np.array(ball.center.coords, dtype=np.float64)
     pts = unit * ball.radius + center
     # The affine map can push a boundary point out of the float ball by one
@@ -477,13 +475,14 @@ def _visit_indices(arr: np.ndarray, start) -> np.ndarray:
     return lex[order]
 
 
-def visit_order(net: Net, start: Point) -> list[Point]:
-    """Deterministic greedy nearest-neighbor ordering of the net points.
+def visit_order(net: Net, start: Point) -> np.ndarray:
+    """Net rows in deterministic greedy nearest-neighbor order, as a
+    read-only (n, d) float64 array.
 
     Begins at the net point nearest to ``start`` and then always moves to the
     nearest unvisited point, measured by :func:`dists_to`; ties go to the
-    lexicographically smallest point. The result is a permutation of
-    ``net.points``. Cost: O(n log n) for a cell grid that lists every
+    lexicographically smallest point. The rows are a permutation of
+    ``net.rows``. Cost: O(n log n) for a cell grid that lists every
     point's k = 8 nearest neighbours in its block of cells and O(k) per
     step. Only at steps where no listed neighbour is provably the nearest
     unvisited point, a search of blocks of cells that widen until they hold
@@ -494,7 +493,9 @@ def visit_order(net: Net, start: Point) -> list[Point]:
         raise ValueError("cannot order an empty net")
     if start.dimension != net.ball.dimension:
         raise ValueError("start dimension does not match the net")
-    return list(map(Point, net.rows[_visit_indices(net.rows, start.coords)].tolist()))
+    rows = net.rows[_visit_indices(net.rows, start.coords)]
+    rows.flags.writeable = False
+    return rows
 
 
 def sample_in_ball(rng: np.random.Generator, ball: Ball, n: int) -> np.ndarray:
@@ -589,11 +590,7 @@ def check_separation(net: Net) -> bool:
     return True
 
 
-def separated_set(
-    ball: Ball,
-    separation: float,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-) -> tuple[Point, ...]:
+def separated_set(ball: Ball, separation: float) -> tuple[Point, ...]:
     """Greedy maximal separated subset of a lattice inside the ball.
 
     Unlike :func:`build_net` this makes no covering claim; it is the
@@ -604,5 +601,5 @@ def separated_set(
         raise ValueError("separation must be > 0")
     d = ball.dimension
     spacing = (separation / 3.0) / math.sqrt(d)
-    pts = _lattice_greedy(d, ball.radius, spacing, 9 * d, candidate_cap, ball.center.coords)
+    pts = _lattice_greedy(d, ball.radius, spacing, 9 * d, ball.center.coords)
     return tuple(Point(tuple(row)) for row in pts)

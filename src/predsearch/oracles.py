@@ -9,6 +9,8 @@ tightens predictions from the query history.
 
 from __future__ import annotations
 
+import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from hashlib import blake2b
@@ -60,10 +62,13 @@ class OracleSpec:
     def __post_init__(self):
         if self.kind not in ORACLE_KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
+        object.__setattr__(self, "seed", operator.index(self.seed))
         object.__setattr__(self, "c_hi", float(self.c_hi))
         object.__setattr__(self, "c_lo", float(self.c_lo))
-        if not (0.0 < self.c_lo <= 1.0 <= self.c_hi):
-            raise ValueError(f"need 0 < c_lo <= 1 <= c_hi, got c_lo={self.c_lo}, c_hi={self.c_hi}")
+        if not (0.0 < self.c_lo <= 1.0 <= self.c_hi < math.inf):
+            raise ValueError(
+                f"need 0 < c_lo <= 1 <= c_hi < inf, got c_lo={self.c_lo}, c_hi={self.c_hi}"
+            )
         if self.kind == "affine":
             if self.alpha is None:
                 raise ValueError("affine oracle needs alpha")

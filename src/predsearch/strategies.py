@@ -11,13 +11,14 @@ the target is recovered directly by trilateration from d+1 readings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Point, PolyPath, origin, path_length
-from .nets import DEFAULT_CANDIDATE_CAP, build_net, dists_to, visit_order
+from .geometry import Ball, Point, origin, path_length
+from .nets import build_net, dists_to, visit_order
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -28,9 +29,6 @@ __all__ = [
     "GuessTooSmallError",
     "QueryBudgetExceeded",
     "one_step",
-    "search_known_c",
-    "search_unknown_c",
-    "search_exact",
     "run_strategy",
     "trilaterate",
     "phase_endpoints",
@@ -67,14 +65,14 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.c_guess < 1.0:
-            raise ValueError("c_guess must be >= 1")
-        if not (self.delta_stop > 0.0):
-            raise ValueError("delta_stop must be > 0")
-        if not (self.epsilon_ratio > 0.0):
-            raise ValueError("epsilon_ratio must be > 0")
-        if self.max_queries < 1:
-            raise ValueError("max_queries must be >= 1")
+        if not 1.0 <= self.c_guess < math.inf:
+            raise ValueError("c_guess must be finite and >= 1")
+        if not 0.0 < self.delta_stop < math.inf:
+            raise ValueError("delta_stop must be finite and > 0")
+        if not 0.0 < self.epsilon_ratio < math.inf:
+            raise ValueError("epsilon_ratio must be finite and > 0")
+        if not (isinstance(self.max_queries, int) and self.max_queries >= 1):
+            raise ValueError(f"max_queries must be an integer >= 1, got {self.max_queries!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +85,8 @@ class StepOutcome:
     stays inside B(base, lam).
 
     ``rows`` holds the queried net points in walk order and ``values`` their
-    answers; ``segment_rows`` is the walked polyline. ``next_point``,
-    ``segment`` and ``queries`` are Point views built on first access.
+    answers; ``segment_rows`` is the walked polyline. ``next_point`` and
+    ``queries`` are Point views.
     """
 
     variant: str
@@ -109,10 +107,6 @@ class StepOutcome:
     @property
     def next_value(self) -> float | None:
         return float(self.values[-1]) if self.variant == "advanced" else None
-
-    @cached_property
-    def segment(self) -> PolyPath:
-        return PolyPath(tuple(map(Point, self.segment_rows.tolist())))
 
     @cached_property
     def queries(self) -> tuple[tuple[Point, float], ...]:
@@ -137,8 +131,8 @@ class StepRecord:
 class SearchTrace:
     """Full record of a search: the polyline as an (n, d) array of vertex
     rows, per-vertex prediction values and (doubling index j, contraction
-    index i) labels, and per-step summaries. ``vertices`` and ``final_point``
-    are Point views built on first access."""
+    index i) labels, and per-step summaries. ``final_point`` is a Point
+    view."""
 
     rows: np.ndarray
     lambda_values: tuple[float, ...]
@@ -157,10 +151,6 @@ class SearchTrace:
     def dimension(self) -> int:
         return self.rows.shape[1]
 
-    @cached_property
-    def vertices(self) -> PolyPath:
-        return PolyPath(tuple(map(Point, self.rows.tolist())))
-
     @property
     def final_point(self) -> Point:
         return Point(self.rows[-1].tolist())
@@ -177,19 +167,16 @@ def step_length_bound(guess: float, dimension: int, lam: float) -> float:
 
 
 @lru_cache(maxsize=32)
-def _unit_walk(dimension: int, eps: float, cap: int) -> np.ndarray:
-    """Visit-ordered net of the unit ball, walked from its center.
+def _unit_walk(dimension: int, eps: float) -> np.ndarray:
+    """Visit-ordered net of the unit ball, walked from its center, as
+    read-only rows.
 
     Contraction steps always start at the net ball's center, so the visit
     order only depends on (dimension, eps/radius); steps reuse it through an
     affine map.
     """
     ball = Ball(origin(dimension), 1.0)
-    net = build_net(ball, eps, candidate_cap=cap)
-    ordered = visit_order(net, ball.center)
-    arr = np.array([p.coords for p in ordered], dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
+    return visit_order(build_net(ball, eps), ball.center)
 
 
 def one_step(
@@ -198,7 +185,6 @@ def one_step(
     c_guess: float,
     oracle,
     query_limit: int | None = None,
-    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
 ) -> StepOutcome:
     """One contraction step from p_i with current prediction value lambda_i.
 
@@ -217,7 +203,7 @@ def one_step(
     if c_guess < 1.0:
         raise ValueError("c_guess must be >= 1")
     d = p_i.dimension
-    walk = _unit_walk(d, 1.0 / (2.0 * c_guess), candidate_cap)
+    walk = _unit_walk(d, 1.0 / (2.0 * c_guess))
     base = np.array(p_i.coords, dtype=np.float64)
     pts = walk * lambda_i + base
     # Keep closed ball membership exact under the affine map.
@@ -262,10 +248,6 @@ class _TraceBuilder:
         )
 
 
-def _snap_to_integer(p: Point) -> Point:
-    return Point(tuple(float(round(x)) for x in p.coords))
-
-
 def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> SearchTrace:
     d = oracle.dimension
     p = origin(d)
@@ -279,7 +261,7 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
             reached = True
             break
         if config.snap_integral and lam < 0.5:
-            snapped = _snap_to_integer(p)
+            snapped = Point(tuple(float(round(x)) for x in p.coords))
             value = oracle.query(snapped)
             builder.extend([snapped.coords], [value], (j, i))
             p, lam = snapped, value
@@ -310,22 +292,6 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
     return builder.freeze(reached, j if doubling else None)
 
 
-def search_known_c(oracle, config: StrategyConfig) -> SearchTrace:
-    """Contraction search with a fixed factor guess (must be >= the oracle's
-    true factor, else the run raises GuessTooSmallError)."""
-    if config.kind != "known_c":
-        raise ValueError(f"config kind {config.kind!r} is not 'known_c'")
-    return _contraction_search(oracle, config, doubling=False)
-
-
-def search_unknown_c(oracle, config: StrategyConfig) -> SearchTrace:
-    """Contraction search with exponential guessing: the guess starts at 2 and
-    doubles whenever a step certifies it is too small."""
-    if config.kind != "unknown_c":
-        raise ValueError(f"config kind {config.kind!r} is not 'unknown_c'")
-    return _contraction_search(oracle, config, doubling=True)
-
-
 def trilaterate(queries, dimension: int) -> Point:
     """Recover the unique point at the given distances from d+1 centers.
 
@@ -349,15 +315,13 @@ def trilaterate(queries, dimension: int) -> Point:
     return Point(tuple(t))
 
 
-def search_exact(oracle, config: StrategyConfig) -> SearchTrace:
+def _exact_search(oracle, config: StrategyConfig) -> SearchTrace:
     """Search with exact distance readings (factor 1).
 
     Walks out and back along each axis by lambda(o)*epsilon_ratio/(2d),
     trilaterates the target from the d+1 readings, and walks straight to it.
     Total length is at most (1 + epsilon_ratio) * |o t|.
     """
-    if config.kind != "exact_c1":
-        raise ValueError(f"config kind {config.kind!r} is not 'exact_c1'")
     d = oracle.dimension
     o = origin(d)
     lam0 = oracle.query(o)
@@ -381,12 +345,16 @@ def search_exact(oracle, config: StrategyConfig) -> SearchTrace:
 
 
 def run_strategy(oracle, config: StrategyConfig) -> SearchTrace:
-    """Dispatch on config.kind."""
-    if config.kind == "known_c":
-        return search_known_c(oracle, config)
-    if config.kind == "unknown_c":
-        return search_unknown_c(oracle, config)
-    return search_exact(oracle, config)
+    """Run the search that ``config.kind`` names.
+
+    known_c: contraction steps with the fixed guess ``c_guess``, which must
+    be >= the oracle's true factor, else GuessTooSmallError. unknown_c: the
+    guess starts at 2 and doubles whenever a step certifies that it is too
+    small. exact_c1: trilateration from exact readings.
+    """
+    if config.kind == "exact_c1":
+        return _exact_search(oracle, config)
+    return _contraction_search(oracle, config, doubling=config.kind == "unknown_c")
 
 
 def phase_endpoints(trace: SearchTrace) -> list[tuple[int, int, int, float]]:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .geometry import Ball, Point, distance, origin
-from .nets import DEFAULT_CANDIDATE_CAP, dists_to, separated_set
+from .nets import dists_to, separated_set
 from .oracles import QueryRecorder, piecewise_predictions
 from .strategies import SearchTrace, StrategyConfig, step_length_bound
 
@@ -166,9 +166,7 @@ class AdversarialInstance(QueryRecorder):
 AdversarialInstance._chunked_query = AdversarialInstance.query
 
 
-def build_adversarial_instance(
-    c: float, d: int, candidate_cap: int = DEFAULT_CANDIDATE_CAP
-) -> AdversarialInstance:
+def build_adversarial_instance(c: float, d: int) -> AdversarialInstance:
     """Candidate targets: a (2/c)-separated set inside B(o, 1/4).
 
     The private balls B(t, 1/c) are then pairwise interior disjoint, and the
@@ -176,7 +174,7 @@ def build_adversarial_instance(
     """
     if c <= 4.0:
         raise ValueError("the adversarial construction needs c > 4")
-    targets = separated_set(Ball(origin(d), 0.25), 2.0 / c, candidate_cap=candidate_cap)
+    targets = separated_set(Ball(origin(d), 0.25), 2.0 / c)
     required = (c / 8.0) ** d
     if len(targets) < required:
         raise RuntimeError(

@@ -36,7 +36,6 @@ from predsearch import (
     replay_consistent,
     run_strategy,
     sample_in_ball,
-    search_exact,
     step_length_bound,
     tsp_ball_lower_bound,
     validate_oracle,
@@ -240,7 +239,7 @@ def test_criterion_5_exact_trilateration():
                 target = Point(tuple(direction * rng.uniform(0.5, 2.0)))
                 oracle = PredictionOracle(OracleSpec(kind="exact", target=target))
                 config = StrategyConfig(kind="exact_c1", epsilon_ratio=eps_ratio)
-                trace = search_exact(oracle, config)
+                trace = run_strategy(oracle, config)
                 dist_ot = distance(origin(d), target)
                 assert trace.reached, (d, eps_ratio, target)
                 assert trace.total_length <= (1.0 + eps_ratio) * dist_ot + 1e-9

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import predsearch
-from predsearch import point, render_svg, search_known_c
+from predsearch import point, render_svg, run_strategy
 from predsearch.cli import _random_direction, main
 from predsearch.oracles import OracleSpec, PredictionOracle
 from predsearch.strategies import StrategyConfig
@@ -101,8 +101,6 @@ def test_trace_csv_cum_length_matches_total():
         OracleSpec(kind="seeded_noise", target=point(0.8, -0.3), c_hi=4.0, seed=2)
     )
     config = StrategyConfig(kind="unknown_c", delta_stop=1e-3)
-    from predsearch import run_strategy
-
     trace = run_strategy(oracle, config)
     last = trace_to_csv(trace).strip().splitlines()[-1]
     assert last.split(",")[-1] == format(trace.total_length, ".12g")
@@ -121,7 +119,7 @@ def test_run_rejects_exact_strategy_with_noisy_oracle(tmp_path):
     assert main(["run", "--config", cfg]) == 2
 
 
-def test_run_bad_config_exits_2(tmp_path):
+def test_run_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["run", "--config", str(path)]) == 2
@@ -129,6 +127,27 @@ def test_run_bad_config_exits_2(tmp_path):
     assert main(["run", "--config", cfg]) == 2
     cfg = write_config(tmp_path, dict(RUN_CONFIG, oracle={"kind": "bogus"}))
     assert main(["run", "--config", cfg]) == 2
+    # An infinite delta_stop once "reached" a target at distance 1 with
+    # length 0; the other values crashed with a traceback.
+    for section, key, bad in [
+        ("strategy", "delta_stop", math.inf),
+        ("strategy", "c_guess", math.inf),
+        ("strategy", "c_guess", "2"),
+        ("strategy", "max_queries", math.inf),
+        ("strategy", "max_queries", 20.0),
+        ("oracle", "c_hi", math.inf),
+        ("oracle", "seed", 1.5),
+        (None, "target_radius", math.inf),
+        (None, "d", math.inf),
+        (None, "seed", math.inf),
+    ]:
+        doc = json.loads(json.dumps(RUN_CONFIG))
+        (doc if section is None else doc[section])[key] = bad
+        if key == "target_radius":
+            doc["target"] = "random"
+        capsys.readouterr()
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 2, (key, bad)
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_guess_too_small_exits_1(tmp_path):
@@ -209,6 +228,12 @@ def test_net_rejects_eps_above_r():
         ["lowerbound", "--c", "8", "--d", "0"],
         ["lowerbound", "--c", "8", "--d", "2", "--delta", "0"],
         ["sweep", "--d", "1", "--c", "2", "--trials", "1", "--seed", "0", "--delta", "0"],
+        ["sweep", "--d", "1", "--c", "nan", "--trials", "1", "--seed", "0"],
+        ["sweep", "--d", "1", "--c", "inf", "--trials", "1", "--seed", "0"],
+        ["sweep", "--d", "1", "--c", "2", "--trials", "1", "--seed", "0", "--delta", "inf"],
+        ["lowerbound", "--c", "inf", "--d", "2"],
+        ["lowerbound", "--c", "8", "--d", "2", "--delta", "inf"],
+        ["net", "--d", "2", "--r", "inf", "--eps", "0.5"],
     ],
 )
 def test_invalid_numbers_exit_2(argv, tmp_path, capsys):
@@ -285,14 +310,14 @@ def test_random_direction_draws_again_after_a_zero_draw():
 
 def test_svg_requires_d2():
     oracle = PredictionOracle(OracleSpec(kind="exact", target=point(0.5, 0.5, 0.5)))
-    trace = search_known_c(oracle, StrategyConfig(kind="known_c", c_guess=1.0))
+    trace = run_strategy(oracle, StrategyConfig(kind="known_c", c_guess=1.0))
     with pytest.raises(ValueError):
         render_svg(trace)
 
 
 def test_svg_deterministic():
     oracle = PredictionOracle(OracleSpec(kind="exact", target=point(0.5, 0.5)))
-    trace = search_known_c(oracle, StrategyConfig(kind="known_c", c_guess=1.0))
+    trace = run_strategy(oracle, StrategyConfig(kind="known_c", c_guess=1.0))
     target = point(0.5, 0.5)
     assert render_svg(trace, target=target) == render_svg(trace, target=target)
     assert render_svg(trace, target=target).count("<polyline") == 1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from predsearch import (
     Ball,
     Point,
-    PolyPath,
     contains,
     cumulative_lengths,
     distance,
@@ -62,24 +61,15 @@ def test_contains_boundary_closed():
 
 
 def test_path_length_single_vertex():
-    assert path_length(PolyPath((point(0, 0),))) == 0.0
+    assert path_length(np.array([[0.0, 0.0]])) == 0.0
 
 
 def test_path_length_two_legs():
-    path = PolyPath((point(0, 0), point(3, 4), point(3, 0)))
-    assert path_length(path) == 9.0
+    assert path_length(np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 0.0]])) == 9.0
 
 
 def test_path_length_out_and_back():
-    path = PolyPath((point(0, 0), point(1, 0), point(0, 0)))
-    assert path_length(path) == 2.0
-
-
-def test_polypath_validation():
-    with pytest.raises(ValueError):
-        PolyPath(())
-    with pytest.raises(ValueError):
-        PolyPath((point(0, 0), point(1)))
+    assert path_length(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])) == 2.0
 
 
 def test_origin():
@@ -106,8 +96,8 @@ def test_path_length_rigid_motion_invariant():
         )
         shift = rng.normal(size=2) * 5
         moved = pts @ rot.T + shift
-        base = path_length(PolyPath(tuple(Point(tuple(r)) for r in pts)))
-        transformed = path_length(PolyPath(tuple(Point(tuple(r)) for r in moved)))
+        base = path_length(pts)
+        transformed = path_length(moved)
         assert transformed == pytest.approx(base, rel=1e-9)
 
 
@@ -135,9 +125,7 @@ def test_array_path_length_matches_point_loop_bit_for_bit(rows):
     # Left-to-right sums: no pairwise (np.sum) or compensated (fsum) order.
     assert cumulative_lengths(rows).tolist() == totals
     assert path_length(rows) == totals[-1]
-    assert path_length(PolyPath(tuple(vertices))) == totals[-1]
-    assert path_length(vertices) == totals[-1]
 
 
 def test_path_length_of_no_vertices():
-    assert path_length([]) == 0.0
+    assert path_length(np.empty((0, 2))) == 0.0

@@ -26,10 +26,10 @@ from predsearch import (
     separated_set,
     visit_order,
 )
+from predsearch import nets
 from predsearch.nets import (
     _QUERY_CHUNK,
     _WALK_NEIGHBORS,
-    DEFAULT_CANDIDATE_CAP,
     _nearest_distances,
     _neighbour_lists,
     _unit_net_points,
@@ -59,14 +59,14 @@ def test_build_net_d2_lower():
 def test_build_net_points_inside_ball():
     ball = Ball(point(0.5, -0.25), 0.8)
     net = build_net(ball, 0.3)
-    assert all(distance(ball.center, p) <= ball.radius for p in net.points)
+    assert (dists_to(net.rows, ball.center.coords) <= ball.radius).all()
 
 
 def test_build_net_deterministic():
     ball = Ball(point(0.1, 0.2), 1.5)
     a = build_net(ball, 0.4)
     b = build_net(ball, 0.4)
-    assert [p.coords for p in a.points] == [p.coords for p in b.points]
+    assert a.rows.tobytes() == b.rows.tobytes()
 
 
 def test_build_net_validation():
@@ -77,9 +77,17 @@ def test_build_net_validation():
         build_net(ball, 1.5)
 
 
-def test_build_net_candidate_cap():
+def test_build_net_candidate_cap(monkeypatch):
+    monkeypatch.setattr(nets, "CANDIDATE_CAP", 1000)
     with pytest.raises(CandidateCapExceeded):
-        build_net(Ball(origin(3), 1.0), 0.01, candidate_cap=1000)
+        build_net(Ball(origin(3), 1.0), 0.01)
+    # d = 3, eps = 0.45: 23^3 cube cells. The uncached builder sees the cap
+    # as it stands at the call.
+    monkeypatch.setattr(nets, "CANDIDATE_CAP", 23**3 - 1)
+    with pytest.raises(CandidateCapExceeded, match="12167 lattice candidates"):
+        _unit_net_points.__wrapped__(3, 0.45)
+    monkeypatch.setattr(nets, "CANDIDATE_CAP", 23**3)
+    assert len(_unit_net_points.__wrapped__(3, 0.45)) > 0
 
 
 def test_check_covering_built_net():
@@ -132,7 +140,7 @@ def test_check_separation_cases():
 def test_net_rows_are_read_only_and_finite():
     net = Net(rows=[(0.0, 1.0), (2.0, 3.0)], ball=Ball(origin(2), 4.0), cover_radius=1.0, separation=1.0)
     assert net.rows.shape == (2, 2) and not net.rows.flags.writeable
-    assert net.points == (point(0.0, 1.0), point(2.0, 3.0))
+    assert net.rows.tolist() == [[0.0, 1.0], [2.0, 3.0]]
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             Net(rows=[(0.0, bad)], ball=Ball(origin(2), 4.0), cover_radius=1.0, separation=1.0)
@@ -264,7 +272,7 @@ def _reference_greedy(d, radius, spacing, separation, center):
 )
 def test_unit_net_points_match_reference_greedy(d, eps):
     ref = _reference_greedy(d, 1.0, (eps / 3.0) / math.sqrt(d), 2.0 * eps / 3.0, (0.0,) * d)
-    pts = _unit_net_points(d, eps, DEFAULT_CANDIDATE_CAP)
+    pts = _unit_net_points(d, eps)
     assert pts.shape == ref.shape
     assert pts.tobytes() == ref.tobytes()
 
@@ -280,7 +288,7 @@ _BENCHMARK_NET_DIGESTS = {
 
 @pytest.mark.parametrize("d, eps", sorted(_BENCHMARK_NET_DIGESTS))
 def test_unit_net_points_of_benchmark_nets_are_pinned(d, eps):
-    pts = _unit_net_points(d, eps, DEFAULT_CANDIDATE_CAP)
+    pts = _unit_net_points(d, eps)
     assert hashlib.blake2b(pts.tobytes()).hexdigest() == _BENCHMARK_NET_DIGESTS[d, eps]
 
 
@@ -325,7 +333,7 @@ def test_net_build_and_covering_check_stay_within_memory_ceiling():
     net = build_net(Ball(origin(4), 1.0), 0.3)
     tracemalloc.start()
     try:
-        _unit_net_points.__wrapped__(4, 0.3, DEFAULT_CANDIDATE_CAP)
+        _unit_net_points.__wrapped__(4, 0.3)
         greedy_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         assert check_covering(net, 10_000, seed=0).ok
@@ -336,21 +344,23 @@ def test_net_build_and_covering_check_stay_within_memory_ceiling():
     assert cover_peak <= 8 * 2**20
 
 
-def test_candidate_cap_is_checked_before_allocating():
-    # d = 4, eps = 0.2: 13.8M cube cells against the default cap of 5M.
+def test_candidate_cap_is_checked_before_allocating(monkeypatch):
+    # d = 4, eps = 0.2: 13.8M cube cells against the cap of 5M.
     tracemalloc.start()
     try:
         with pytest.raises(CandidateCapExceeded, match="13845841 lattice candidates"):
-            _unit_net_points.__wrapped__(4, 0.2, DEFAULT_CANDIDATE_CAP)
+            _unit_net_points.__wrapped__(4, 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
     # The cap counts cube cells: 5^2 cells at d = 2, radius/spacing = 2.
     ball = Ball(origin(2), 1.0)
-    assert len(separated_set(ball, 1.5 * math.sqrt(2.0), candidate_cap=25)) > 0
+    monkeypatch.setattr(nets, "CANDIDATE_CAP", 25)
+    assert len(separated_set(ball, 1.5 * math.sqrt(2.0))) > 0
+    monkeypatch.setattr(nets, "CANDIDATE_CAP", 24)
     with pytest.raises(CandidateCapExceeded):
-        separated_set(ball, 1.5 * math.sqrt(2.0), candidate_cap=24)
+        separated_set(ball, 1.5 * math.sqrt(2.0))
 
 
 def _brute_greedy(points, start):
@@ -364,12 +374,13 @@ def _brute_greedy(points, start):
         nxt = min(remaining, key=key(out[-1]))
         out.append(nxt)
         remaining.remove(nxt)
-    return out
+    return [list(p.coords) for p in out]
 
 
 def _reference_order(net, start):
     """The O(n^2) greedy walk: rescan every point at each step and take the
-    first argmin over the lexicographically sorted rows."""
+    first argmin over the lexicographically sorted rows. Returns the rows in
+    walk order."""
     arr = net.rows
     n, d = arr.shape
     arr = arr[np.lexsort(tuple(arr[:, k] for k in reversed(range(d))))]
@@ -382,7 +393,7 @@ def _reference_order(net, start):
         visited[current] = True
         remaining_dist = dists_to(arr, arr[current])
         remaining_dist[visited] = np.inf
-    return [Point(tuple(arr[i])) for i in order]
+    return arr[order]
 
 
 @pytest.mark.parametrize(
@@ -393,7 +404,7 @@ def _reference_order(net, start):
 def test_visit_order_matches_reference_on_unit_nets(d, eps, centered):
     net = build_net(Ball(origin(d), 1.0), eps)
     start = origin(d) if centered else point(*(0.61 - 0.37 * k for k in range(d)))
-    assert visit_order(net, start) == _reference_order(net, start)
+    assert visit_order(net, start).tolist() == _reference_order(net, start).tolist()
 
 
 @st.composite
@@ -419,9 +430,9 @@ def _grid_clouds(draw):
 def test_visit_order_matches_reference_on_grid_clouds(case):
     # Integer grids with duplicate rows make exact distance ties common.
     net, start = case
-    order = visit_order(net, start)
-    assert order == _reference_order(net, start)
-    assert sorted(p.coords for p in order) == sorted(p.coords for p in net.points)
+    order = visit_order(net, start).tolist()
+    assert order == _reference_order(net, start).tolist()
+    assert sorted(order) == sorted(net.rows.tolist())
 
 
 def test_visit_order_matches_reference_on_clustered_clouds():
@@ -437,7 +448,7 @@ def test_visit_order_matches_reference_on_clustered_clouds():
         rows = np.round(centres[label] + rng.normal(size=(len(label), d)) * scales[label, None], 2)
         net = Net(rows=rows, ball=Ball(origin(d), 100.0), cover_radius=100.0, separation=0.0)
         start = Point(rows[0])
-        assert visit_order(net, start) == _reference_order(net, start)
+        assert visit_order(net, start).tolist() == _reference_order(net, start).tolist()
 
 
 def test_visit_order_matches_reference_on_clouds_with_far_outliers():
@@ -454,9 +465,8 @@ def test_visit_order_matches_reference_on_clouds_with_far_outliers():
             rows = np.round(np.concatenate([rng.normal(size=(dense, d)), outliers]), 3)
             net = Net(rows=rows, ball=Ball(origin(d), 100.0), cover_radius=100.0, separation=0.0)
             for start in (Point(rows[0]), Point(rows[np.argmax(np.linalg.norm(rows, axis=1))])):
-                order = visit_order(net, start)
-                assert order == _reference_order(net, start)
-                walk = np.array([p.coords for p in order])
+                walk = visit_order(net, start)
+                assert walk.tolist() == _reference_order(net, start).tolist()
                 h = _neighbour_lists(net.rows, _WALK_NEIGHBORS)[2].h
                 longest.append(np.max(np.linalg.norm(np.diff(walk, axis=0), axis=1)) / h)
     # Every walk makes a jump of 2 cells or more, and some of 32 or more.
@@ -466,7 +476,7 @@ def test_visit_order_matches_reference_on_clouds_with_far_outliers():
 def test_visit_order_of_the_benchmark_net_stays_within_memory_ceiling():
     # The neighbour lists are built in bounded pieces and the step loop reads
     # flat numpy tables: ~5.2 MiB traced, against ~12 MiB with per-row lists.
-    rows = np.array(_unit_net_points(2, 1 / 48, DEFAULT_CANDIDATE_CAP))
+    rows = np.array(_unit_net_points(2, 1 / 48))
     tracemalloc.start()
     try:
         _visit_indices(rows, (0.0, 0.0))
@@ -480,7 +490,7 @@ def test_visit_order_of_the_benchmark_net_stays_within_memory_ceiling():
 def test_unit_walk_of_benchmark_net_is_pinned():
     # The lowerbound c=24 d=2 walk (13,447 points), recorded with the O(n^2)
     # implementation; checking it against _reference_order would take seconds.
-    walk = _unit_walk(2, 1 / 48, DEFAULT_CANDIDATE_CAP)
+    walk = _unit_walk(2, 1 / 48)
     assert walk.shape == (13447, 2)
     assert hashlib.blake2b(walk.tobytes()).hexdigest() == (
         "26100248a82a66c6212d19108771f782fc29d70d3039a1b6123e147e0c89ae70"
@@ -491,7 +501,7 @@ def test_unit_walk_of_benchmark_net_is_pinned():
 def test_unit_walk_of_d3_net_is_pinned():
     # The sweep --d 3 --c 8 walk (51,636 points, 4,730 steps whose listed
     # neighbours are all visited), recorded with the scan-fallback walk.
-    walk = _unit_walk(3, 1 / 16, DEFAULT_CANDIDATE_CAP)
+    walk = _unit_walk(3, 1 / 16)
     assert walk.shape == (51636, 3)
     assert hashlib.blake2b(walk.tobytes()).hexdigest() == (
         "8bc66117f4a138e1ad57f71cf57eb5049dbd8b55460536b76438868056deaaa4"
@@ -502,19 +512,19 @@ def test_unit_walk_of_d3_net_is_pinned():
 def test_visit_order_1d_chain():
     ball = Ball(point(1.5), 2.0)
     net = Net(rows=[(0.0,), (1.0,), (3.0,)], ball=ball, cover_radius=2.0, separation=1.0)
-    assert visit_order(net, point(0.1)) == [point(0.0), point(1.0), point(3.0)]
+    assert visit_order(net, point(0.1)).tolist() == [[0.0], [1.0], [3.0]]
 
 
 def test_visit_order_single():
     net = Net(rows=[(2.0, 2.0)], ball=Ball(point(2.0, 2.0), 1.0), cover_radius=1.0, separation=1.0)
-    assert visit_order(net, point(0.0, 0.0)) == [point(2.0, 2.0)]
+    assert visit_order(net, point(0.0, 0.0)).tolist() == [[2.0, 2.0]]
 
 
 def test_visit_order_triangle_matches_brute_force():
     pts = (point(0.0, 0.0), point(0.0, 2.0), point(5.0, 0.0))
     net = Net(rows=[p.coords for p in pts], ball=Ball(point(1.0, 1.0), 6.0), cover_radius=6.0, separation=1.0)
-    order = visit_order(net, point(0.0, 0.0))
-    assert order == [point(0.0, 0.0), point(0.0, 2.0), point(5.0, 0.0)]
+    order = visit_order(net, point(0.0, 0.0)).tolist()
+    assert order == [[0.0, 0.0], [0.0, 2.0], [5.0, 0.0]]
     assert order == _brute_greedy(pts, point(0.0, 0.0))
 
 
@@ -526,14 +536,14 @@ def test_visit_order_random_matches_brute_force():
         pts = tuple(point(*row) for row in rng.normal(size=(n, d)))
         net = Net(rows=[p.coords for p in pts], ball=Ball(origin(d), 10.0), cover_radius=10.0, separation=0.0)
         start = point(*rng.normal(size=d))
-        assert visit_order(net, start) == _brute_greedy(pts, start)
+        assert visit_order(net, start).tolist() == _brute_greedy(pts, start)
 
 
 def test_visit_order_is_permutation():
     net = build_net(Ball(origin(2), 1.0), 0.3)
     order = visit_order(net, point(0.7, -0.2))
-    assert len(order) == len(net)
-    assert sorted(p.coords for p in order) == sorted(p.coords for p in net.points)
+    assert order.shape == net.rows.shape and not order.flags.writeable
+    assert sorted(order.tolist()) == sorted(net.rows.tolist())
 
 
 def test_visit_order_empty_net():
@@ -573,9 +583,9 @@ def test_visit_order_breaks_exact_ties_lexicographically():
     # start at the lexicographically smallest and stay deterministic.
     pts = (point(1.0, 1.0), point(-1.0, 1.0), point(-1.0, -1.0), point(1.0, -1.0))
     net = Net(rows=[p.coords for p in pts], ball=Ball(origin(2), 2.0), cover_radius=2.0, separation=2.0)
-    order = visit_order(net, origin(2))
-    assert order[0] == point(-1.0, -1.0)
-    assert order == visit_order(net, origin(2))
+    order = visit_order(net, origin(2)).tolist()
+    assert order[0] == [-1.0, -1.0]
+    assert order == visit_order(net, origin(2)).tolist()
     assert order == _brute_greedy(pts, origin(2))
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -50,6 +51,15 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         # |o t| too large for the family hypothesis
         OracleSpec(kind="piecewise_lower_bound", target=point(0.4, 0.0), c_hi=4.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            OracleSpec(kind="exact", target=t, c_hi=bad)
+        with pytest.raises(ValueError):
+            OracleSpec(kind="affine", target=t, c_hi=bad, alpha=2.0)
+        with pytest.raises(ValueError):
+            OracleSpec(kind="exact", target=t, c_lo=bad)
+    with pytest.raises(TypeError):
+        OracleSpec(kind="seeded_noise", target=t, c_hi=2.0, seed=1.5)
 
 
 def test_exact_oracle_at_target():

@@ -21,14 +21,12 @@ from predsearch import (
     path_length,
     phase_endpoints,
     point,
-    search_exact,
-    search_known_c,
-    search_unknown_c,
+    run_strategy,
     step_length_bound,
     trilaterate,
 )
 from predsearch.cli import main
-from predsearch.nets import DEFAULT_CANDIDATE_CAP, dists_to
+from predsearch.nets import dists_to
 from predsearch.strategies import _unit_walk
 
 
@@ -53,6 +51,17 @@ def test_config_validation():
         StrategyConfig(kind="known_c", delta_stop=0.0)
     with pytest.raises(ValueError):
         StrategyConfig(kind="exact_c1", epsilon_ratio=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            StrategyConfig(kind="known_c", c_guess=bad)
+        with pytest.raises(ValueError):
+            StrategyConfig(kind="known_c", delta_stop=bad)
+        with pytest.raises(ValueError):
+            StrategyConfig(kind="exact_c1", epsilon_ratio=bad)
+    # A float limit once reached the slicing of the step's rows.
+    for bad in (math.nan, math.inf, 20.0, 0):
+        with pytest.raises(ValueError):
+            StrategyConfig(kind="known_c", max_queries=bad)
 
 
 def test_one_step_advanced_affine():
@@ -64,8 +73,8 @@ def test_one_step_advanced_affine():
     outcome = one_step(p0, 1.0, 2.0, oracle)
     assert outcome.variant == "advanced"
     assert outcome.next_value <= 0.5
-    assert path_length(outcome.segment) <= 2.0 * 18.0**2 * 1.0
-    assert outcome.segment.vertices[0] == p0
+    assert path_length(outcome.segment_rows) <= 2.0 * 18.0**2 * 1.0
+    assert outcome.segment_rows[0].tolist() == list(p0.coords)
 
 
 def test_one_step_exact_always_advances():
@@ -85,8 +94,8 @@ def test_one_step_guess_too_small():
     assert lam0 == 1.0
     outcome = one_step(p0, lam0, 1.0, oracle)
     assert outcome.variant == "guess_too_small"
-    assert outcome.segment.vertices[-1] == p0
-    assert path_length(outcome.segment) <= step_length_bound(1.0, 2, lam0)
+    assert outcome.segment_rows[-1].tolist() == list(p0.coords)
+    assert path_length(outcome.segment_rows) <= step_length_bound(1.0, 2, lam0)
     # The deduction is correct: the true factor 8 exceeds the guess 1.
     assert oracle.c_factor > 1.0
 
@@ -101,15 +110,14 @@ def test_one_step_invariants_seeded_trials():
         outcome = one_step(p0, lam0, 1.0, oracle)
         assert outcome.variant in ("advanced", "guess_too_small")
         # locality: the whole walk stays inside the closed step ball
-        for v in outcome.segment.vertices:
-            assert distance(p0, v) <= lam0
-        for v in outcome.segment.vertices:
-            assert distance(v, target) <= 2.0 * lam0
-        assert path_length(outcome.segment) <= step_length_bound(1.0, 2, lam0)
+        segment = outcome.segment_rows
+        assert (dists_to(segment, p0.coords) <= lam0).all()
+        assert (dists_to(segment, target.coords) <= 2.0 * lam0).all()
+        assert path_length(segment) <= step_length_bound(1.0, 2, lam0)
         if outcome.variant == "advanced":
             assert outcome.next_value <= lam0 / 2.0
         else:
-            assert outcome.segment.vertices[-1] == p0
+            assert segment[-1].tolist() == list(p0.coords)
 
 
 def test_one_step_rejects_nonpositive_lambda():
@@ -120,17 +128,17 @@ def test_one_step_rejects_nonpositive_lambda():
 
 def test_known_c_target_at_origin():
     oracle = make_oracle("affine", origin(2), c=2.0)
-    trace = search_known_c(oracle, StrategyConfig(kind="known_c", c_guess=2.0))
+    trace = run_strategy(oracle, StrategyConfig(kind="known_c", c_guess=2.0))
     assert trace.reached
     assert trace.total_length == 0.0
-    assert len(trace.vertices) == 1
+    assert len(trace.rows) == 1
 
 
 def test_known_c_bounds_and_step_count():
     target = point(0.6, 0.8)
     oracle = make_oracle("affine", target, c=2.0)
     config = StrategyConfig(kind="known_c", c_guess=2.0, delta_stop=1e-3)
-    trace = search_known_c(oracle, config)
+    trace = run_strategy(oracle, config)
     assert trace.reached
     assert trace.total_length <= 2.0 * 6.0**2 * 2.0**3 * 1.0  # = 2304
     contractions = sum(1 for s in trace.steps if s.advanced)
@@ -145,7 +153,7 @@ def test_known_c_hard_step_bound():
     target = point(-1.1, 0.4)
     oracle = make_oracle("seeded_noise", target, c=4.0, seed=8)
     config = StrategyConfig(kind="known_c", c_guess=4.0, delta_stop=1e-3)
-    trace = search_known_c(oracle, config)
+    trace = run_strategy(oracle, config)
     assert trace.reached
     for s in trace.steps:
         assert s.segment_length <= step_length_bound(s.guess, 2, s.lambda_start)
@@ -155,19 +163,19 @@ def test_known_c_guess_too_small_raises():
     oracle = make_oracle("piecewise_lower_bound", STUBBORN_TARGET, c=8.0)
     config = StrategyConfig(kind="known_c", c_guess=1.0, delta_stop=1e-3)
     with pytest.raises(GuessTooSmallError):
-        search_known_c(oracle, config)
+        run_strategy(oracle, config)
 
 
 def test_known_c_query_budget():
     oracle = make_oracle("affine", point(0.6, 0.8), c=2.0)
     config = StrategyConfig(kind="known_c", c_guess=2.0, delta_stop=1e-9, max_queries=20)
     with pytest.raises(QueryBudgetExceeded):
-        search_known_c(oracle, config)
+        run_strategy(oracle, config)
 
 
 def test_unknown_c_exact_oracle_never_doubles():
     oracle = make_oracle("exact", point(0.7, -0.3))
-    trace = search_unknown_c(oracle, StrategyConfig(kind="unknown_c", delta_stop=1e-3))
+    trace = run_strategy(oracle, StrategyConfig(kind="unknown_c", delta_stop=1e-3))
     assert trace.reached
     assert trace.doublings == 1
 
@@ -176,7 +184,7 @@ def test_unknown_c_doubling_cap_and_halving():
     target = point(0.6, 0.8)
     oracle = make_oracle("seeded_noise", target, c=8.0, seed=5)
     config = StrategyConfig(kind="unknown_c", delta_stop=1e-3)
-    trace = search_unknown_c(oracle, config)
+    trace = run_strategy(oracle, config)
     assert trace.reached
     assert trace.doublings <= math.ceil(math.log2(8.0))
     lam0 = trace.lambda_values[0]
@@ -188,7 +196,7 @@ def test_unknown_c_doubling_cap_and_halving():
 def test_unknown_c_forced_doubling():
     oracle = make_oracle("piecewise_lower_bound", STUBBORN_TARGET, c=8.0)
     config = StrategyConfig(kind="unknown_c", delta_stop=1e-3)
-    trace = search_unknown_c(oracle, config)
+    trace = run_strategy(oracle, config)
     assert trace.reached
     assert 2 <= trace.doublings <= math.ceil(math.log2(8.0))
     assert distance(trace.final_point, STUBBORN_TARGET) <= config.delta_stop
@@ -202,7 +210,7 @@ def test_reached_distance_scales_with_underestimates():
         OracleSpec(kind="affine", target=target, c_hi=4.0, c_lo=0.5, alpha=0.75)
     )
     config = StrategyConfig(kind="unknown_c", delta_stop=1e-3)
-    trace = search_unknown_c(oracle, config)
+    trace = run_strategy(oracle, config)
     assert trace.reached
     final_dist = distance(trace.final_point, target)
     assert final_dist <= config.delta_stop / 0.5
@@ -213,7 +221,7 @@ def test_snap_integral_recovers_integer_target():
     target = point(2.0, -3.0)
     oracle = make_oracle("seeded_noise", target, c=2.0, seed=3)
     config = StrategyConfig(kind="unknown_c", delta_stop=1e-12, snap_integral=True)
-    trace = search_unknown_c(oracle, config)
+    trace = run_strategy(oracle, config)
     assert trace.reached
     assert trace.final_point == target
     assert trace.final_lambda == 0.0
@@ -222,10 +230,10 @@ def test_snap_integral_recovers_integer_target():
 def test_trace_lambda_replay_consistent():
     target = point(0.6, 0.8)
     oracle = make_oracle("seeded_noise", target, c=4.0, seed=1)
-    trace = search_unknown_c(oracle, StrategyConfig(kind="unknown_c", delta_stop=1e-3))
-    for vertex, lam in zip(trace.vertices.vertices, trace.lambda_values):
-        assert oracle.query(vertex) == lam
-    assert trace.total_length == path_length(trace.vertices)
+    trace = run_strategy(oracle, StrategyConfig(kind="unknown_c", delta_stop=1e-3))
+    for row, lam in zip(trace.rows.tolist(), trace.lambda_values):
+        assert oracle.query(Point(tuple(row))) == lam
+    assert trace.total_length == path_length(trace.rows)
 
 
 def test_trilaterate_plane():
@@ -259,7 +267,7 @@ def test_trilaterate_wrong_count():
 def test_search_exact_plane():
     oracle = make_oracle("exact", point(3.0, 4.0))
     config = StrategyConfig(kind="exact_c1", epsilon_ratio=0.01)
-    trace = search_exact(oracle, config)
+    trace = run_strategy(oracle, config)
     assert trace.reached
     assert trace.total_length <= 5.05 + 1e-9
     assert distance(trace.final_point, point(3.0, 4.0)) <= 1e-9 * 5.0
@@ -267,16 +275,49 @@ def test_search_exact_plane():
 
 def test_search_exact_target_at_origin():
     oracle = make_oracle("exact", origin(3))
-    trace = search_exact(oracle, StrategyConfig(kind="exact_c1"))
+    trace = run_strategy(oracle, StrategyConfig(kind="exact_c1"))
     assert trace.reached
     assert trace.total_length == 0.0
 
 
 def test_search_exact_line():
     oracle = make_oracle("exact", point(-2.0))
-    trace = search_exact(oracle, StrategyConfig(kind="exact_c1", epsilon_ratio=0.1))
+    trace = run_strategy(oracle, StrategyConfig(kind="exact_c1", epsilon_ratio=0.1))
     assert trace.reached
     assert trace.total_length <= 2.2 + 1e-9
+
+
+_scaled_coordinate = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) > 1e-6)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    kind=st.sampled_from(["exact", "affine", "midpoint_open"]),
+    strategy=st.sampled_from(["known_c", "unknown_c"]),
+    c=st.sampled_from([1.5, 2.0, 3.0]),
+    coords=st.integers(1, 3).flatmap(
+        lambda d: st.lists(_scaled_coordinate, min_size=d, max_size=d)
+    ),
+    k=st.integers(-20, 20),
+)
+def test_search_scales_exactly_by_powers_of_two(kind, strategy, c, coords, k):
+    # delta_stop is an absolute radius: scaled with the target, every
+    # comparison of the search keeps its outcome and every float scales
+    # exactly, so the trace is the base trace times 2^k.
+    scale = 2.0**k
+    runs = []
+    for factor in (1.0, scale):
+        target = Point(tuple(x * factor for x in coords))
+        oracle = make_oracle(kind, target, c=1.0 if kind == "exact" else c)
+        config = StrategyConfig(
+            kind=strategy, c_guess=c if strategy == "known_c" else 1.0, delta_stop=1e-3 * factor
+        )
+        runs.append((run_strategy(oracle, config), oracle.query_count))
+    (base, base_queries), (scaled, scaled_queries) = runs
+    assert scaled.rows.tolist() == (base.rows * scale).tolist()
+    assert scaled.lambda_values == tuple(v * scale for v in base.lambda_values)
+    assert scaled.total_length == base.total_length * scale
+    assert scaled_queries == base_queries
 
 
 @pytest.mark.parametrize(
@@ -293,7 +334,7 @@ def test_known_c_guarantee_under_worst_case_noise(d, c, trials):
         if distance(origin(d), target) < 1e-6:
             continue
         oracle = make_oracle("affine", target, c=c)
-        trace = search_known_c(oracle, config)
+        trace = run_strategy(oracle, config)
         assert trace.reached
         assert distance(trace.final_point, target) <= config.delta_stop
         assert trace.total_length <= 2.0 * 6.0**d * c ** (d + 1) * distance(origin(d), target)
@@ -307,20 +348,8 @@ def test_one_step_deterministic():
         lam0 = oracle.query(origin(2))
         outs.append(one_step(origin(2), lam0, 4.0, oracle))
     assert outs[0].variant == outs[1].variant
-    assert [v.coords for v in outs[0].segment.vertices] == [
-        v.coords for v in outs[1].segment.vertices
-    ]
+    assert outs[0].segment_rows.tolist() == outs[1].segment_rows.tolist()
     assert outs[0].queries == outs[1].queries
-
-
-def test_kind_dispatch_guards():
-    oracle = make_oracle("exact", point(1.0))
-    with pytest.raises(ValueError):
-        search_known_c(oracle, StrategyConfig(kind="unknown_c"))
-    with pytest.raises(ValueError):
-        search_unknown_c(oracle, StrategyConfig(kind="known_c"))
-    with pytest.raises(ValueError):
-        search_exact(oracle, StrategyConfig(kind="known_c"))
 
 
 # --- Array-native step against the per-Point reference ---------------------
@@ -329,7 +358,7 @@ def test_kind_dispatch_guards():
 def _reference_step(p_i, lambda_i, c_guess, oracle, query_limit=None):
     """The per-Point contraction step: build a Point per net row and query it
     alone. Returns (variant, segment vertices, queries)."""
-    walk = _unit_walk(p_i.dimension, 1.0 / (2.0 * c_guess), DEFAULT_CANDIDATE_CAP)
+    walk = _unit_walk(p_i.dimension, 1.0 / (2.0 * c_guess))
     pts = walk * lambda_i + np.array(p_i.coords, dtype=np.float64)
     pts = pts[dists_to(pts, p_i.coords) <= lambda_i]
     vertices = [p_i]
@@ -398,7 +427,7 @@ def test_one_step_matches_per_point_reference(kind, base, lam, c_guess, seed):
         assert _bits(outcome.queries) == _bits(queries)
         assert outcome.rows.tolist() == [list(q.coords) for q, _ in queries]
         assert outcome.values.tolist() == [v for _, v in queries]
-        assert [v.coords for v in outcome.segment.vertices] == [v.coords for v in vertices]
+        assert outcome.segment_rows.tolist() == [list(v.coords) for v in vertices]
         assert path_length(outcome.segment_rows) == _reference_length(vertices)
         if variant == "advanced":
             assert outcome.next_point == queries[-1][0]
@@ -497,11 +526,10 @@ def test_query_rows_sends_every_row_through_an_overridden_query(how, monkeypatch
 
 def test_search_trace_views_match_rows():
     oracle = make_oracle("seeded_noise", point(0.6, -0.8), c=4.0, seed=2)
-    trace = search_unknown_c(oracle, StrategyConfig(kind="unknown_c", delta_stop=1e-3))
-    assert [v.coords for v in trace.vertices.vertices] == [tuple(r) for r in trace.rows.tolist()]
+    trace = run_strategy(oracle, StrategyConfig(kind="unknown_c", delta_stop=1e-3))
     assert trace.final_point.coords == tuple(trace.rows[-1].tolist())
     assert trace.dimension == 2
-    assert trace.total_length == _reference_length(trace.vertices.vertices)
+    assert trace.total_length == _reference_length(list(map(Point, trace.rows.tolist())))
 
 
 # Recorded with the per-Point step (Point-built net rows, scalar distance and

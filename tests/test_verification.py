@@ -29,7 +29,6 @@ from predsearch import (
     run_strategy,
     tsp_ball_lower_bound,
 )
-from predsearch.nets import DEFAULT_CANDIDATE_CAP
 from predsearch.strategies import _unit_walk
 
 
@@ -237,11 +236,11 @@ def test_adversarial_run_audit():
 
 
 def test_audit_degenerate_run():
-    from predsearch import OracleSpec, PredictionOracle, search_known_c
+    from predsearch import OracleSpec, PredictionOracle
 
     oracle = PredictionOracle(OracleSpec(kind="exact", target=origin(2)))
     config = StrategyConfig(kind="known_c", c_guess=1.0)
-    trace = search_known_c(oracle, config)
+    trace = run_strategy(oracle, config)
     report = audit_trace(trace, origin(2), config, oracle)
     assert report.degenerate
     assert report.ratio is None
@@ -251,12 +250,12 @@ def test_audit_degenerate_run():
 
 
 def test_audit_known_run_within_bound():
-    from predsearch import OracleSpec, PredictionOracle, search_known_c
+    from predsearch import OracleSpec, PredictionOracle
 
     target = point(0.6, 0.8)
     oracle = PredictionOracle(OracleSpec(kind="affine", target=target, c_hi=2.0, alpha=2.0))
     config = StrategyConfig(kind="known_c", c_guess=2.0, delta_stop=1e-3)
-    trace = search_known_c(oracle, config)
+    trace = run_strategy(oracle, config)
     report = audit_trace(trace, target, config, oracle)
     assert report.ratio <= 576.0
     assert report.step_bound_ok
@@ -385,7 +384,7 @@ def test_wrapped_adversary_query_hears_every_row(monkeypatch):
 def test_adversary_answers_a_long_walk_in_bounded_chunks(monkeypatch):
     # The lowerbound c=24 d=2 walk: unbounded doubling handed the adversary
     # a last chunk of 5,271 rows, each measured against every candidate.
-    walk = _unit_walk(2, 1 / 48, DEFAULT_CANDIDATE_CAP)
+    walk = _unit_walk(2, 1 / 48)
     instance = build_adversarial_instance(24.0, 2)
     sizes = []
     answer_chunk = instance._answer_chunk
