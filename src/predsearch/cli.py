@@ -353,8 +353,8 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_net(args) -> int:
-    if args.d < 1 or args.samples < 1 or not 0.0 < args.eps <= args.r < math.inf:
-        raise ConfigError("need d >= 1, samples >= 1 and 0 < eps <= r < inf")
+    if args.d < 1 or args.samples < 1 or args.seed < 0 or not 0.0 < args.eps <= args.r < math.inf:
+        raise ConfigError("need d >= 1, samples >= 1, seed >= 0 and 0 < eps <= r < inf")
     net = build_net(Ball(origin(args.d), args.r), args.eps)
     lower = net_size_lower_bound(args.r, args.eps, args.d)
     upper = net_size_upper_bound(args.r, args.eps, args.d)

@@ -10,6 +10,9 @@ integer stencil of lattice indices around each kept point. It walks the
 (2k+1)^d candidate cube in blocks of axis-0 slabs and keeps blocked flags
 for a block and the w = isqrt(stencil radius^2) slabs the stencil reaches
 past it, so its working memory is about (w + 1) * (2k+1)^(d-1) cells.
+Slab by slab, it drops the candidates that earlier slabs blocked with one
+gather, tests the rest one by one, and blocks the later slabs for all the
+slab's kept points with one numpy call.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ _QUERY_CHUNK = 1 << 10
 # Lattice cells per block of axis-0 slabs in the greedy. The d <= 2
 # lattices of the search commands (up to ~166k cells) take one block.
 _GREEDY_BLOCK_CELLS = 1 << 18
+# In-slab stencils up to this many offsets are written cell by cell through
+# the bytearray; longer ones in one numpy call per kept point.
+_GREEDY_SHORT_STENCIL = 32
 
 
 class CandidateCapExceeded(RuntimeError):
@@ -137,6 +143,19 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
     stencils reach past it: about (w + 1) * (2k+1)^(d-1) cells once a slab
     outgrows ``_GREEDY_BLOCK_CELLS``. ``CANDIDATE_CAP`` on cube cells is
     checked first.
+
+    Within a block the greedy goes one axis-0 slab at a time. The stencil
+    splits into ``near`` offsets (o_0 = 0), which stay in the slab, and
+    ``far`` ones (o_0 >= 1). A slab first drops, in one gather, the
+    candidates that earlier slabs blocked; then it tests the rest in flat
+    order, and a kept point writes its ``near`` offsets at once; last, one
+    numpy call writes the ``far`` offsets of all the slab's kept points.
+    This is exact: a ``far`` write lands in a later slab or in the padding
+    of this one, which holds no candidates, so nothing tested before the
+    slab ends reads it; and a ``near`` write lands before any later cell of
+    the slab is tested. Every candidate thus sees at its test the flags that
+    a one-point-at-a-time loop would show it. At d = 1 a slab is one cell,
+    so the whole block runs as one slab with every offset ``near``.
     """
     k_max = int(math.floor(radius / spacing)) if radius > 0 else 0
     per_axis = 2 * k_max + 1
@@ -161,6 +180,11 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
         off = np.add.outer(off * side, reach).ravel()
         off, off_sq = off[off_sq <= block_sq], off_sq[off_sq <= block_sq]
     off = off[off > 0]
+    # Offsets within the slab (o_0 = 0) and into later ones: the other axes
+    # move an offset by less than slab / 2. At d = 1 a slab is one cell, so
+    # every offset counts as near and a block is one run.
+    near, far = (off, off[:0]) if dimension == 1 else (off[2 * off < slab], off[2 * off > slab])
+    short = near.tolist() if len(near) <= _GREEDY_SHORT_STENCIL else None
     # Axis-0 slabs go in blocks of `step`; the blocked flags cover the block
     # and the w slabs after it, which carry over to the next block.
     step = max(1, _GREEDY_BLOCK_CELLS // per_axis ** (dimension - 1))
@@ -184,9 +208,22 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
             # Python ints from a memoryview and bytearray read faster than numpy's.
             seen = bytearray((min(step, per_axis) + w) * slab)
             blocked = np.frombuffer(seen, dtype=bool)
-        for p in memoryview(cands):
-            if not seen[p]:
-                blocked[p + off] = True
+        ends = [0, len(cands)]  # at d = 1 the block is one run
+        if dimension > 1:
+            ends = np.searchsorted(cands, np.arange(len(heads) + 1) * slab).tolist()
+        for lo, hi in zip(ends, ends[1:]):
+            live = cands[lo:hi]
+            mine = []
+            for p in memoryview(live[~blocked[live]]):
+                if not seen[p]:
+                    mine.append(p)
+                    if short is None:
+                        blocked[p + near] = True
+                    else:
+                        for o in short:
+                            seen[p + o] = 1
+            if mine:
+                blocked[np.add.outer(mine, far)] = True
         idx = np.unravel_index(cands[~blocked[cands]], (len(heads),) + (side,) * (dimension - 1))
         kept.append(np.stack([axis[i] + c for i, c in zip((idx[0] + first, *idx[1:]), center)], axis=1))
         blocked[: w * slab] = blocked[len(heads) * slab : (len(heads) + w) * slab]

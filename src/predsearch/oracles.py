@@ -63,6 +63,8 @@ class OracleSpec:
         if self.kind not in ORACLE_KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         object.__setattr__(self, "seed", operator.index(self.seed))
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
         object.__setattr__(self, "c_hi", float(self.c_hi))
         object.__setattr__(self, "c_lo", float(self.c_lo))
         if not (0.0 < self.c_lo <= 1.0 <= self.c_hi < math.inf):

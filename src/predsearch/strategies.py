@@ -71,7 +71,9 @@ class StrategyConfig:
             raise ValueError("delta_stop must be finite and > 0")
         if not 0.0 < self.epsilon_ratio < math.inf:
             raise ValueError("epsilon_ratio must be finite and > 0")
-        if not (isinstance(self.max_queries, int) and self.max_queries >= 1):
+        if not isinstance(self.snap_integral, bool):
+            raise ValueError(f"snap_integral must be true or false, got {self.snap_integral!r}")
+        if type(self.max_queries) is not int or self.max_queries < 1:  # a bool is not a count
             raise ValueError(f"max_queries must be an integer >= 1, got {self.max_queries!r}")
 
 

@@ -128,15 +128,21 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(RUN_CONFIG, oracle={"kind": "bogus"}))
     assert main(["run", "--config", cfg]) == 2
     # An infinite delta_stop once "reached" a target at distance 1 with
-    # length 0; the other values crashed with a traceback.
+    # length 0, and a truthy "no" turned snapping on and missed the target;
+    # the other values crashed with a traceback.
     for section, key, bad in [
         ("strategy", "delta_stop", math.inf),
         ("strategy", "c_guess", math.inf),
         ("strategy", "c_guess", "2"),
         ("strategy", "max_queries", math.inf),
         ("strategy", "max_queries", 20.0),
+        ("strategy", "max_queries", True),
         ("oracle", "c_hi", math.inf),
+        ("strategy", "snap_integral", "no"),
+        ("strategy", "snap_integral", 1),
         ("oracle", "seed", 1.5),
+        ("oracle", "seed", 2**64),
+        ("oracle", "seed", -(2**63) - 1),
         (None, "target_radius", math.inf),
         (None, "d", math.inf),
         (None, "seed", math.inf),
@@ -234,6 +240,7 @@ def test_net_rejects_eps_above_r():
         ["lowerbound", "--c", "inf", "--d", "2"],
         ["lowerbound", "--c", "8", "--d", "2", "--delta", "inf"],
         ["net", "--d", "2", "--r", "inf", "--eps", "0.5"],
+        ["net", "--d", "2", "--eps", "0.3", "--check", "--seed", "-1"],
     ],
 )
 def test_invalid_numbers_exit_2(argv, tmp_path, capsys):

@@ -326,6 +326,72 @@ def test_separated_set_matches_reference_greedy_on_random_balls(case, radius):
     test_separated_set_matches_reference_greedy(center, radius, max(radius, 0.01) * ratio)
 
 
+def _sequential_greedy(d, radius, spacing, block_sq, center):
+    """The lattice greedy one candidate at a time over the whole cube, with
+    numpy only: the lattice points of the closed ball at the origin whose
+    shift by center stays in B(center, radius), in lexicographic order, each
+    kept one blocking the later ones at index offsets o with |o|^2 <= block_sq."""
+    k_max = int(math.floor(radius / spacing)) if radius > 0 else 0
+    n = 2 * k_max + 1
+    axis = np.arange(-k_max, k_max + 1, dtype=np.float64) * spacing
+    idx = np.stack([m.ravel() for m in np.meshgrid(*[np.arange(n)] * d, indexing="ij")], axis=1)
+    pts = axis[idx]
+    inside = (dists_to(pts, (0.0,) * d) <= radius) & (dists_to(pts + center, center) <= radius)
+    # Flat indices into the cube padded by w cells on every side.
+    w = math.isqrt(block_sq)
+    strides = (n + 2 * w) ** np.arange(d - 1, -1, -1)
+    offsets = np.array(
+        [
+            int(np.dot(o, strides))
+            for o in itertools.product(range(-w, w + 1), repeat=d)
+            if o > (0,) * d and sum(x * x for x in o) <= block_sq
+        ],
+        dtype=np.int64,
+    )
+    blocked = np.zeros((n + 2 * w) ** d, dtype=bool)
+    kept = []
+    for row, flat in zip(np.flatnonzero(inside).tolist(), ((idx[inside] + w) @ strides).tolist()):
+        if not blocked[flat]:
+            kept.append(row)
+            blocked[flat + offsets] = True
+    return pts[kept] + np.array(center, dtype=np.float64)
+
+
+@pytest.mark.parametrize("d, eps", [(3, 0.08), (4, 0.3)])
+def test_lattice_greedy_matches_sequential_greedy_on_benchmark_nets(d, eps):
+    spacing = (eps / 3.0) / math.sqrt(d)
+    ref = _sequential_greedy(d, 1.0, spacing, 4 * d, (0.0,) * d)
+    assert nets._lattice_greedy(d, 1.0, spacing, 4 * d, (0.0,) * d).tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(1, 4).flatmap(
+        # Up to ~84k cube cells per case; 0 slabs per block means one block.
+        lambda d: st.tuples(
+            st.tuples(*[st.floats(-5.0, 5.0)] * d),
+            st.floats(0.4, (200.0, 60.0, 20.0, 8.0)[d - 1]),
+            st.sampled_from([4 * d, 9 * d]),
+            st.integers(0, 4),
+        )
+    ),
+    st.floats(0.1, 8.0),
+)
+def test_lattice_greedy_matches_sequential_greedy(case, radius):
+    # Blocks of one and of several slabs, each carrying w slabs to the next.
+    center, ratio, block_sq, slabs = case
+    d = len(center)
+    spacing = radius / ratio
+    per_axis = 2 * int(math.floor(radius / spacing)) + 1
+    ref = _sequential_greedy(d, radius, spacing, block_sq, center)
+    with pytest.MonkeyPatch.context() as mp:
+        if slabs:
+            mp.setattr(nets, "_GREEDY_BLOCK_CELLS", slabs * per_axis ** (d - 1))
+        pts = nets._lattice_greedy(d, radius, spacing, block_sq, center)
+    assert pts.shape == ref.shape
+    assert pts.tobytes() == ref.tobytes()
+
+
 def test_net_build_and_covering_check_stay_within_memory_ceiling():
     # The greedy keeps only a window of lattice slabs and the covering check
     # looks its probes up in fixed batches. Over the whole cube and all probes

@@ -60,6 +60,12 @@ def test_spec_validation():
             OracleSpec(kind="exact", target=t, c_lo=bad)
     with pytest.raises(TypeError):
         OracleSpec(kind="seeded_noise", target=t, c_hi=2.0, seed=1.5)
+    # The noise key packs the seed as a signed 64-bit integer.
+    for bad in (2**63, 2**64, -(2**63) - 1):
+        with pytest.raises(ValueError):
+            OracleSpec(kind="seeded_noise", target=t, c_hi=2.0, seed=bad)
+    for edge in (2**63 - 1, -(2**63)):
+        PredictionOracle(OracleSpec(kind="seeded_noise", target=t, c_hi=2.0, seed=edge))
 
 
 def test_exact_oracle_at_target():

@@ -58,10 +58,15 @@ def test_config_validation():
             StrategyConfig(kind="known_c", delta_stop=bad)
         with pytest.raises(ValueError):
             StrategyConfig(kind="exact_c1", epsilon_ratio=bad)
-    # A float limit once reached the slicing of the step's rows.
-    for bad in (math.nan, math.inf, 20.0, 0):
+    # A float limit once reached the slicing of the step's rows, and a JSON
+    # true ran with a limit of one query.
+    for bad in (math.nan, math.inf, 20.0, 0, True):
         with pytest.raises(ValueError):
             StrategyConfig(kind="known_c", max_queries=bad)
+    # A truthy string such as "no" once turned snapping on.
+    for bad in ("no", "false", 1, 0, None):
+        with pytest.raises(ValueError):
+            StrategyConfig(kind="known_c", snap_integral=bad)
 
 
 def test_one_step_advanced_affine():
