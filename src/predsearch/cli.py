@@ -92,14 +92,17 @@ def _sample_target(d: int, radius: float, seed: int) -> Point:
 
 def parse_run_config(doc: dict) -> RunConfig:
     try:
-        d = int(doc["d"])
-        seed = int(doc.get("seed", 0))
+        d = doc["d"]
+        seed = doc.get("seed", 0)
         radius = float(doc.get("target_radius", 1.0))
         raw_target = doc["target"]
         oracle_doc = dict(doc["oracle"])
         strategy_doc = dict(doc["strategy"])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config structure: {exc}") from exc
+    for name, value in (("d", d), ("seed", seed)):
+        if type(value) is not int:  # a bool or a float is not an integer here
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     if d < 1:
         raise ConfigError("d must be >= 1")
     if raw_target == "random":
@@ -156,8 +159,8 @@ def trace_to_csv(trace: SearchTrace) -> str:
     for step, (coords, lam, (j, i), cum) in enumerate(
         zip(
             trace.rows.tolist(),
-            trace.lambda_values,
-            trace.phase_labels,
+            trace.lambda_values.tolist(),
+            trace.phase_labels.tolist(),
             cumulative_lengths(trace.rows).tolist(),
         )
     ):

@@ -96,8 +96,9 @@ def piecewise_prediction(target: Point, c: float, p: Point) -> float:
     """Piecewise prediction: c*|pt| inside B(t, 1/c), 1 inside B(o, 1/2)
     elsewhere, 2*|po| outside. Overlaps resolve in that order (closed tests).
 
-    Shared by the piecewise oracle kind and the adaptive adversary so that
-    query replays reproduce answers bit for bit.
+    The piecewise oracle kind, the adaptive adversary and its replay check
+    evaluate it on rows with :func:`piecewise_predictions`, which agrees
+    with this scalar form bit for bit.
     """
     dist_t = distance(p, target)
     if dist_t <= 1.0 / c:
@@ -118,56 +119,76 @@ def piecewise_predictions(target: Point, c: float, rows: np.ndarray) -> np.ndarr
 
 
 class QueryRecorder:
-    """Memo and query log shared by the prediction oracle and the adversary.
+    """Query log shared by the prediction oracle and the adversary.
 
-    ``memo`` maps exact coordinates to the first value answered there, so
-    revisits agree. Every query, repeats included, is logged in order as a
-    coordinate tuple and a value; ``query_log`` builds a list of
-    ``(Point, value)`` pairs each time it is read.
+    A recorder only records: every query, repeats included, is logged in
+    order as float64 arrays of points and values, one pair per evaluated
+    chunk. Nothing is remembered between queries, as every answer is a
+    function of the point alone (each subclass says why).
 
     ``query_rows(rows, stop, limit)`` is the batched protocol of the
     contraction step: it queries the rows of an (n, d) array in order, stops
     after the first value ``<= stop`` or after ``limit`` rows, and returns
     the values queried. It rejects a batch with a non-finite row before
-    logging anything. A subclass that answers whole chunks defines
-    ``_answer_chunk`` and names its own ``query`` as ``_chunked_query``;
-    the rows then go to ``_answer_chunk`` in chunks of 16, 32, 64, ... rows,
-    up to ``_LAST_CHUNK`` rows.
-    Otherwise, and wherever ``query`` is overridden or wrapped, every row
-    goes through ``query``.
+    logging anything. Each subclass evaluates points in one place,
+    ``_answer_chunk``, which answers and logs a prefix of a chunk of rows.
+    The rows go to it in chunks of 16, 32, 64, ... up to ``_LAST_CHUNK``
+    rows, and a single ``query`` is a one-row chunk; wherever ``query`` is
+    overridden or wrapped, every row goes through ``query`` instead.
     """
 
     _FIRST_CHUNK = 16
     # A chunk's answers may measure every row against every candidate
     # target, so the doubling stops here to bound that working memory.
     _LAST_CHUNK = 1 << 10
-    # The ``query`` whose answers ``_answer_chunk`` reproduces row for row.
-    _chunked_query = None
 
     def __init__(self):
-        self.memo: dict[tuple[float, ...], float] = {}
-        self._log_keys: list[tuple[float, ...]] = []
-        self._log_values: list[float] = []
-
-    @property
-    def query_count(self) -> int:
-        return len(self._log_values)
+        self.query_count = 0
+        self._row_chunks: list[np.ndarray] = []
+        self._value_chunks: list[np.ndarray] = []
 
     @property
     def query_log(self) -> list[tuple[Point, float]]:
-        return list(zip(map(Point, self._log_keys), self._log_values))
+        """Every logged query as a ``(Point, value)`` pair, built on read."""
+        rows, values = self.query_arrays()
+        return list(zip(map(Point, rows.tolist()), values.tolist()))
+
+    @property
+    def memo(self) -> dict[tuple[float, ...], float]:
+        """The first value logged at each distinct point, keyed by its
+        coordinates and built on read. Keys compare as floats, so points
+        that differ only in the sign of a zero share the first one's entry."""
+        rows, values = self.query_arrays()
+        memo: dict[tuple[float, ...], float] = {}
+        for key, value in zip(map(tuple, rows.tolist()), values.tolist()):
+            memo.setdefault(key, value)
+        return memo
 
     def query_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every logged query as an (n, d) array of points and their values."""
-        rows = np.array(self._log_keys, dtype=np.float64).reshape(-1, self.dimension)
-        return rows, np.array(self._log_values, dtype=np.float64)
+        """Every logged query as an (n, d) array of points and their values.
+        These are the log's own arrays: the chunks are joined into one on
+        read, and later queries go to new chunks."""
+        if len(self._value_chunks) != 1:
+            self._row_chunks = [np.concatenate([np.empty((0, self.dimension)), *self._row_chunks])]
+            self._value_chunks = [np.concatenate([np.empty(0), *self._value_chunks])]
+        return self._row_chunks[0], self._value_chunks[0]
 
-    def _remember(self, key: tuple[float, ...], value: float) -> float:
-        """Log a query at ``key``; a value already memoized there wins."""
-        value = self.memo.setdefault(key, value)
-        self._log_keys.append(key)
-        self._log_values.append(value)
-        return value
+    def _log(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Log copies of the answered rows and values, so that no larger
+        array stays alive."""
+        self._row_chunks.append(rows.copy())
+        self._value_chunks.append(values.copy())
+        self.query_count += len(values)
+
+    def query(self, p: Point) -> float:
+        if p.dimension != self.dimension:
+            raise ValueError(f"query dimension {p.dimension} != dimension {self.dimension}")
+        self._answer_chunk(np.array([p.coords], dtype="<f8"), -math.inf)
+        return self._value_chunks[-1].item()
+
+    # Subclasses hold this ``query`` as their own attribute, so that a
+    # wrapper on one class leaves the other alone.
+    _chunked_query = query
 
     def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
         rows = np.ascontiguousarray(rows, dtype="<f8")
@@ -175,9 +196,9 @@ class QueryRecorder:
             raise ValueError(f"query rows of shape {rows.shape} for dimension {self.dimension}")
         if not np.isfinite(rows).all():
             raise ValueError("non-finite coordinate in the query rows")
-        first = self.query_count
+        first = len(self._value_chunks)
         self._query_prefix(rows[: max(limit, 0)], stop)
-        return np.array(self._log_values[first:], dtype=np.float64)
+        return np.concatenate([np.empty(0), *self._value_chunks[first:]])
 
     def _query_prefix(self, rows: np.ndarray, stop: float) -> None:
         """Query the rows in order until a value ``<= stop``."""
@@ -198,21 +219,23 @@ class QueryRecorder:
             size = min(2 * size, self._LAST_CHUNK)
 
     def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
-        """Query the rows of a C-contiguous float64 array in order until a
-        value ``<= stop``; True if one was."""
+        """Answer and log the rows of a nonempty C-contiguous float64 array
+        in order until a value ``<= stop``; True if one was."""
         raise NotImplementedError
 
 
 class PredictionOracle(QueryRecorder):
     """Queryable prediction source; owns the hidden target.
 
-    Values are memoized on exact coordinates so revisits agree, and every
-    query (including repeats) is appended to ``query_log``. Rows are
-    evaluated in bulk: distances come from ``dists_to`` and the seeded noise
-    hashes each row's little-endian float64 bytes, so every answer equals the
-    scalar formula at that point bit for bit. Where ``query`` is overridden
-    or wrapped, ``query_rows`` sends every row through it instead.
+    Every kind is a pure function of the point, so a revisit gets the
+    identical value without a memo. Rows are evaluated in bulk: distances
+    come from ``dists_to``, and the seeded noise hashes each row's
+    little-endian float64 bytes after adding 0.0, so that -0.0 and 0.0 get
+    the same draw. Where ``query`` is overridden or wrapped, ``query_rows``
+    sends every row through it instead.
     """
+
+    query = QueryRecorder.query
 
     def __init__(self, spec: OracleSpec):
         super().__init__()
@@ -227,64 +250,42 @@ class PredictionOracle(QueryRecorder):
     def c_factor(self) -> float:
         return self.spec.c_hi
 
-    def query(self, p: Point) -> float:
-        if p.dimension != self.dimension:
-            raise ValueError(f"query dimension {p.dimension} != oracle dimension {self.dimension}")
-        value = self.memo.get(p.coords)
-        if value is None:
-            spec = self.spec
-            if spec.kind == "piecewise_lower_bound":
-                value = piecewise_prediction(spec.target, spec.c_hi, p)
-            else:
-                raw = struct.pack(f"<{p.dimension}d", *p.coords)
-                value = self._scale(distance(p, spec.target), raw)
-        return self._remember(p.coords, value)
-
     def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
-        answers = zip(map(tuple, rows.tolist()), self._evaluate(rows).tolist())
-        return any(self._remember(key, value) <= stop for key, value in answers)
+        values = self._evaluate(rows)
+        stops = np.flatnonzero(values <= stop)
+        n = stops[0] + 1 if len(stops) else len(values)
+        self._log(rows[:n], values[:n])
+        return len(stops) > 0
 
     def _evaluate(self, rows: np.ndarray) -> np.ndarray:
-        """Predictions at the rows of a C-contiguous float64 array; the
-        vector form of ``query``'s formulas, with the same operation order."""
+        """Predictions at the rows of a C-contiguous float64 array."""
         spec = self.spec
         if spec.kind == "piecewise_lower_bound":
             return piecewise_predictions(spec.target, spec.c_hi, rows)
-        return self._scale(dists_to(rows, spec.target.coords), rows.tobytes())
-
-    def _scale(self, dist, raw: bytes):
-        """Predictions from the distances to the target (a float or an
-        array), for every kind but the piecewise one. ``raw`` holds the
-        points' little-endian float64 coordinates; the seeded noise hashes
-        each point's bytes into a draw u in [0, 1) and scales by a factor in
-        [c_lo, c_hi)."""
-        spec = self.spec
+        dist = dists_to(rows, spec.target.coords)
         if spec.kind == "affine":
             return spec.alpha * dist
         if spec.kind == "midpoint_open":
             return (1.0 + spec.c_hi) / 2.0 * dist
         if spec.kind == "exact":
             return dist
-        if isinstance(dist, float):
+        return (spec.c_lo + (spec.c_hi - spec.c_lo) * self._noise_draws(rows)) * dist
+
+    def _noise_draws(self, rows: np.ndarray) -> np.ndarray:
+        """The seeded noise's draw u in [0, 1) at each row: the keyed hash of
+        the row's little-endian float64 bytes, with -0.0 read as 0.0."""
+        raw = (rows + 0.0).astype("<f8", copy=False).tobytes()
+        width = 8 * rows.shape[1]
+        digests = []
+        for at in range(0, len(raw), width):
             h = self._noise_hash.copy()
-            h.update(raw)
-            u = int.from_bytes(h.digest(), "little") / 2.0**64
-        else:
-            width = 8 * spec.dimension
-            digests = []
-            for at in range(0, len(raw), width):
-                h = self._noise_hash.copy()
-                h.update(raw[at : at + width])
-                digests.append(h.digest())
-            u = np.frombuffer(b"".join(digests), dtype="<u8") / 2.0**64
-        return (spec.c_lo + (spec.c_hi - spec.c_lo) * u) * dist
-
-
-PredictionOracle._chunked_query = PredictionOracle.query
+            h.update(raw[at : at + width])
+            digests.append(h.digest())
+        return np.frombuffer(b"".join(digests), dtype="<u8") / 2.0**64
 
 
 def check_prediction_bounds(
-    query_fn,
+    values_at,
     target: Point,
     c_lo: float,
     c_hi: float,
@@ -293,29 +294,28 @@ def check_prediction_bounds(
     seed: int,
     rel_slack: float = 1e-9,
 ) -> bool:
-    """True iff c_lo*|pt| <= query_fn(p) <= c_hi*|pt| (within relative slack)
-    on uniform probes in B(target, radius) plus the fixed probes o and t."""
+    """True iff c_lo*|pt| <= value <= c_hi*|pt| (within relative slack) at
+    uniform probes in B(target, radius) plus the fixed probes o and t.
+    ``values_at`` maps an (n, d) array of probe rows to their n values."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     rng = np.random.default_rng(seed)
-    pts = sample_in_ball(rng, Ball(target, radius), probes)
-    points = [Point(tuple(row)) for row in pts]
-    points.append(origin(target.dimension))
-    points.append(target)
-    for p in points:
-        value = query_fn(p)
-        dist = distance(p, target)
-        lo = c_lo * dist * (1.0 - rel_slack)
-        hi = c_hi * dist * (1.0 + rel_slack)
-        if not (lo <= value <= hi):
-            return False
-    return True
+    fixed = np.array([origin(target.dimension).coords, target.coords])
+    rows = np.concatenate((sample_in_ball(rng, Ball(target, radius), probes), fixed))
+    values = np.asarray(values_at(rows), dtype=np.float64)
+    dist = dists_to(rows, target.coords)
+    lo = c_lo * dist * (1.0 - rel_slack)
+    hi = c_hi * dist * (1.0 + rel_slack)
+    return bool(np.all((lo <= values) & (values <= hi)))
 
 
 def validate_oracle(oracle: PredictionOracle, probes: int, radius: float, seed: int) -> bool:
-    """Empirical validity certificate for an oracle against its own spec."""
+    """Empirical validity certificate for an oracle against its own spec, on
+    the batched path the searches use."""
+    spec = oracle.spec
     return check_prediction_bounds(
-        oracle.query, oracle.spec.target, oracle.spec.c_lo, oracle.spec.c_hi, probes, radius, seed
+        lambda rows: oracle.query_rows(rows, -math.inf, len(rows)),
+        spec.target, spec.c_lo, spec.c_hi, probes, radius, seed,
     )
 
 

@@ -132,13 +132,13 @@ class StepRecord:
 @dataclass(frozen=True, eq=False)
 class SearchTrace:
     """Full record of a search: the polyline as an (n, d) array of vertex
-    rows, per-vertex prediction values and (doubling index j, contraction
-    index i) labels, and per-step summaries. ``final_point`` is a Point
-    view."""
+    rows, the per-vertex prediction values as a float64 array, an (n, 2)
+    int array of (doubling index j, contraction index i) labels, and
+    per-step summaries. ``final_point`` is a Point view."""
 
     rows: np.ndarray
-    lambda_values: tuple[float, ...]
-    phase_labels: tuple[tuple[int, int], ...]
+    lambda_values: np.ndarray
+    phase_labels: np.ndarray
     total_length: float
     reached: bool
     doublings: int | None
@@ -159,7 +159,7 @@ class SearchTrace:
 
     @property
     def final_lambda(self) -> float:
-        return self.lambda_values[-1]
+        return self.lambda_values[-1].item()
 
 
 def step_length_bound(guess: float, dimension: int, lam: float) -> float:
@@ -224,25 +224,25 @@ def one_step(
 
 class _TraceBuilder:
     def __init__(self, start: Point, start_value: float, label: tuple[int, int]):
-        self.chunks: list[np.ndarray] = []
-        self.lambdas: list[float] = []
-        self.labels: list[tuple[int, int]] = []
+        self.rows: list[np.ndarray] = []
+        self.lambdas: list[np.ndarray] = []
+        self.labels: list[np.ndarray] = []
         self.steps: list[StepRecord] = []
         self.extend([start.coords], [start_value], label)
 
     def extend(self, rows, values, label):
         """Append vertex rows (an (n, d) array or a list of coordinate
         tuples) with their prediction values under one phase label."""
-        self.chunks.append(np.asarray(rows, dtype=np.float64))
-        self.lambdas.extend(values)
-        self.labels.extend([label] * len(values))
+        self.rows.append(np.asarray(rows, dtype=np.float64))
+        self.lambdas.append(np.asarray(values, dtype=np.float64))
+        self.labels.append(np.broadcast_to(label, (len(values), 2)))
 
     def freeze(self, reached: bool, doublings: int | None) -> SearchTrace:
-        rows = np.concatenate(self.chunks)
+        rows = np.concatenate(self.rows)
         return SearchTrace(
             rows=rows,
-            lambda_values=tuple(self.lambdas),
-            phase_labels=tuple(self.labels),
+            lambda_values=np.concatenate(self.lambdas),
+            phase_labels=np.concatenate(self.labels),
             total_length=path_length(rows),
             reached=reached,
             doublings=doublings,
@@ -272,14 +272,14 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
         guess = float(2**j) if doubling else config.c_guess
         outcome = one_step(p, lam, guess, oracle, query_limit=config.max_queries)
         seg_length = path_length(outcome.segment_rows)
-        values = outcome.values.tolist()
+        values = outcome.values
         if outcome.variant == "advanced":
             builder.extend(outcome.rows[:-1], values[:-1], (j, i))
             builder.extend(outcome.rows[-1:], values[-1:], (j, i + 1))
             builder.steps.append(
-                StepRecord(j, i + 1, guess, lam, values[-1], seg_length, len(values), True)
+                StepRecord(j, i + 1, guess, lam, outcome.next_value, seg_length, len(values), True)
             )
-            p, lam = outcome.next_point, values[-1]
+            p, lam = outcome.next_point, outcome.next_value
             i += 1
         else:
             builder.extend(outcome.rows, values, (j, i))
@@ -362,10 +362,6 @@ def run_strategy(oracle, config: StrategyConfig) -> SearchTrace:
 def phase_endpoints(trace: SearchTrace) -> list[tuple[int, int, int, float]]:
     """(j, i, vertex index, lambda) for the first vertex of every phase label:
     exactly the points the contraction argument tracks."""
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for idx, label in enumerate(trace.phase_labels):
-        if label not in seen:
-            seen.add(label)
-            out.append((label[0], label[1], idx, trace.lambda_values[idx]))
-    return out
+    labels = trace.phase_labels
+    firsts = np.sort(np.unique(labels, axis=0, return_index=True)[1]).tolist()
+    return [(*labels[k].tolist(), k, trace.lambda_values[k].item()) for k in firsts]

@@ -88,11 +88,19 @@ class AdversarialInstance(QueryRecorder):
 
     Presents the oracle interface used by the strategies (query, query_rows,
     query_count, dimension, c_factor). Mutable single-owner state: one
-    instance per run. ``query_rows`` measures a chunk's distances to every
-    candidate and to the origin at once (by ``dists_to``, so they equal the
-    scalar ``distance`` that a single ``query`` uses) and then answers its
-    rows in order.
+    instance per run. ``_answer_chunk`` measures a chunk's distances to
+    every candidate and to the origin at once and then answers its rows in
+    order; a single ``query`` is a one-row chunk.
+
+    No memo is needed: a query that falls in a live ball removes that
+    candidate while others live, so after a query at p either no live ball
+    holds p or one candidate is left. A revisit of p then removes nothing
+    and gets the same value, and the committed target's ball was never hit
+    before it was committed. ``replay_consistent`` checks the whole log
+    against the committed target's prediction function bit for bit.
     """
+
+    query = QueryRecorder.query
 
     def __init__(self, c: float, targets: tuple[Point, ...]):
         super().__init__()
@@ -124,46 +132,35 @@ class AdversarialInstance(QueryRecorder):
             return self.targets[self.live[0]]
         return None
 
-    def query(self, p: Point) -> float:
-        if p.dimension != self.d:
-            raise ValueError(f"query dimension {p.dimension} != instance dimension {self.d}")
-        value = self.memo.get(p.coords)
-        if value is None:
-            value = self._answer(lambda i: distance(p, self.targets[i]), distance(p, self._origin))
-        return self._remember(p.coords, value)
-
     def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
         dist_t = dists_to(rows, self._centres).T
         near = (dist_t <= self.ball_radius).any(axis=1).tolist()
         dist_o = dists_to(rows, self._origin.coords).tolist()
-        for r, key in enumerate(map(tuple, rows.tolist())):
-            value = self.memo.get(key)
-            if value is None:
-                value = self._answer(dist_t[r].item, dist_o[r], near[r])
-            if self._remember(key, value) <= stop:
-                return True
-        return False
+        values = []
+        for r in range(len(rows)):
+            values.append(self._answer(dist_t[r], dist_o[r], near[r]))
+            if values[-1] <= stop:
+                break
+        self._log(rows[: len(values)], np.array(values))
+        return values[-1] <= stop
 
-    def _answer(self, dist_t, dist_o: float, near: bool = True) -> float:
-        """Answer a new query from ``dist_t(i)``, its distance to candidate
-        i, and ``dist_o``, its distance to the origin. ``near`` False says
-        that no candidate's ball holds the query."""
+    def _answer(self, dist_t: np.ndarray, dist_o: float, near: bool) -> float:
+        """Answer a query from ``dist_t``, its distance to every candidate,
+        and ``dist_o``, its distance to the origin. ``near`` False says that
+        no candidate's ball holds the query."""
         live = self.live
         if near and len(live) > 1:
-            hits = [i for i in live if dist_t(i) <= self.ball_radius]
+            hits = [i for i in live if dist_t.item(i) <= self.ball_radius]
             for i in hits:
                 if len(live) > 1:
                     live.remove(i)
         if len(live) == 1:
             # The committed target's piecewise prediction.
-            dist = dist_t(live[0])
+            dist = dist_t.item(live[0])
             if dist <= self.ball_radius:
                 return self.c * dist
         # Common value shared by every live candidate's prediction function.
         return 1.0 if dist_o <= 0.5 else 2.0 * dist_o
-
-
-AdversarialInstance._chunked_query = AdversarialInstance.query
 
 
 def build_adversarial_instance(c: float, d: int) -> AdversarialInstance:

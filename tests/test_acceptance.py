@@ -294,7 +294,9 @@ def test_criterion_7_lipschitz_inference():
             gap = abs(infer_lipschitz(history, p) - infer_lipschitz(history, q))
             assert gap <= distance(p, q) + 1e-12, (h, p, q)
             pair_checks += 1
-        refined = lambda pt: min(oracle.query(pt), infer_lipschitz(history, pt))
+        refined = lambda rows: [
+            min(oracle.query(pt), infer_lipschitz(history, pt)) for pt in map(Point, rows.tolist())
+        ]
         assert check_prediction_bounds(
             refined, target, 1.0, 8.0, probes=100, radius=3.0, seed=h
         ), h

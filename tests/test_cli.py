@@ -146,6 +146,11 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
         (None, "target_radius", math.inf),
         (None, "d", math.inf),
         (None, "seed", math.inf),
+        # These ran as d=2, seed 7 and seed 1.
+        (None, "d", 2.5),
+        (None, "d", "2"),
+        (None, "seed", 7.9),
+        (None, "seed", True),
     ]:
         doc = json.loads(json.dumps(RUN_CONFIG))
         (doc if section is None else doc[section])[key] = bad

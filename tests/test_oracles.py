@@ -25,6 +25,7 @@ from predsearch import (
     sample_in_ball,
     validate_oracle,
 )
+from predsearch.verification import build_adversarial_instance
 
 
 def make_oracle(kind, target, c=1.0, c_lo=1.0, seed=0):
@@ -151,7 +152,8 @@ def test_validity_piecewise(d, c):
 
 def test_broken_oracle_detected():
     t = point(0.0, 0.0)
-    broken = lambda p: 0.5 * distance(p, t)  # claims c_lo = 1 but underestimates
+    # Claims c_lo = 1 but underestimates.
+    broken = lambda rows: [0.5 * distance(Point(r), t) for r in rows.tolist()]
     assert not check_prediction_bounds(broken, t, 1.0, 2.0, probes=200, radius=2.0, seed=0)
 
 
@@ -225,7 +227,7 @@ def test_refined_query_still_valid_prediction():
     for row in rng.normal(size=(50, 2)):
         p = Point(tuple(row))
         history.add(p, oracle.query(p))
-    refined = lambda p: refined_query(oracle, history, p)
+    refined = lambda rows: [refined_query(oracle, history, Point(r)) for r in rows.tolist()]
     assert check_prediction_bounds(refined, t, 1.0, 8.0, probes=1000, radius=3.0, seed=13)
 
 
@@ -234,7 +236,8 @@ def test_refined_query_still_valid_prediction():
 
 def _reference_value(spec, p):
     """One point's prediction by the scalar formulas: a fresh keyed blake2b
-    over struct-packed coordinates for the seeded noise."""
+    over struct-packed coordinates for the seeded noise, with 0.0 added to
+    each so that -0.0 and 0.0 get the same draw."""
     if spec.kind == "piecewise_lower_bound":
         return piecewise_prediction(spec.target, spec.c_hi, p)
     dist = distance(p, spec.target)
@@ -245,7 +248,7 @@ def _reference_value(spec, p):
     if spec.kind == "midpoint_open":
         return (1.0 + spec.c_hi) / 2.0 * dist
     h = hashlib.blake2b(digest_size=8, key=struct.pack("<q", spec.seed))
-    h.update(struct.pack(f"<{len(p.coords)}d", *p.coords))
+    h.update(struct.pack(f"<{len(p.coords)}d", *(x + 0.0 for x in p.coords)))
     u = int.from_bytes(h.digest(), "little") / 2.0**64
     return (spec.c_lo + (spec.c_hi - spec.c_lo) * u) * dist
 
@@ -338,3 +341,155 @@ def test_piecewise_predictions_match_scalar(rows, c):
     got = piecewise_predictions(target, c, rows)
     want = [piecewise_prediction(target, c, Point(tuple(r))) for r in rows]
     assert got.tolist() == want
+
+
+# --- Pure oracles against a memoising reference recorder --------------------
+
+
+class _MemoisingRecorder:
+    """A reference recorder with a memo: the first value answered at exact
+    coordinates wins, and every query, repeats included, is logged.
+    ``answer`` computes a value only where the memo has none."""
+
+    def __init__(self, answer):
+        self.answer, self.memo, self.log = answer, {}, []
+
+    def query(self, p):
+        value = self.memo.get(p.coords)
+        if value is None:
+            value = self.memo[p.coords] = self.answer(p)
+        self.log.append((p.coords, value))
+        return value
+
+    def query_rows(self, rows, stop, limit):
+        values = []
+        for row in rows[:limit]:
+            values.append(self.query(Point(row.tolist())))
+            if values[-1] <= stop:
+                break
+        return values
+
+
+def _scalar_adversary_answer(instance):
+    """The adversary's answer by scalar ``distance`` and
+    ``piecewise_prediction``, eliminating from its own live list."""
+    live = list(range(len(instance.targets)))
+
+    def answer(p):
+        hits = [i for i in live if distance(p, instance.targets[i]) <= instance.ball_radius]
+        for i in hits:
+            if len(live) > 1:
+                live.remove(i)
+        if len(live) == 1:
+            return piecewise_prediction(instance.targets[live[0]], instance.c, p)
+        dist_o = distance(p, origin(p.dimension))
+        return 1.0 if dist_o <= 0.5 else 2.0 * dist_o
+
+    return answer
+
+
+@st.composite
+def _query_scripts(draw):
+    """An oracle kind, a fresh oracle and a script of ``query_rows`` and
+    single-query steps over a few distinct points, with repeats and
+    sign-of-zero twins; "near" points fall in or next to a candidate's
+    ball (the adversary's) or the target's."""
+    kind = draw(st.sampled_from(ORACLE_KINDS + ("adversary",)))
+    d = draw(st.integers(1, 2))
+    if kind == "adversary":
+        oracle = build_adversarial_instance(draw(st.sampled_from([6.0, 8.0])), d)
+        anchors, c = oracle.targets, oracle.c
+    else:
+        target = Point((0.1, -0.2)[:d])
+        spec = OracleSpec(
+            kind=kind, target=target, c_hi=8.0, c_lo=0.25,
+            seed=draw(st.integers(-(2**63), 2**63 - 1)),
+            alpha=3.0 if kind == "affine" else None,
+        )
+        oracle, anchors, c = PredictionOracle(spec), (target,), 8.0
+    coord = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.7, 0.7))
+    distinct = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            centre = np.array(draw(st.sampled_from(anchors)).coords)
+            offset = draw(st.lists(st.floats(-1.2, 1.2), min_size=d, max_size=d))
+            distinct.append(centre + np.array(offset) / c)
+        else:
+            distinct.append(np.array(draw(st.lists(coord, min_size=d, max_size=d))))
+    distinct += [np.where(row == 0.0, -row, row) for row in distinct]  # twins
+    script = []
+    for _ in range(draw(st.integers(1, 4))):
+        picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=70))
+        rows = np.array([distinct[k] for k in picks]).reshape(len(picks), d)
+        if draw(st.booleans()):
+            script.append(("rows", rows, draw(st.floats(0.0, 3.0)), draw(st.integers(0, 80))))
+        else:
+            script.append(("single", rows[:5], None, None))
+    return kind, oracle, script
+
+
+@settings(deadline=None, max_examples=200)
+@given(_query_scripts())
+def test_pure_oracles_log_what_a_memoising_recorder_logs(case):
+    kind, oracle, script = case
+    if kind == "adversary":
+        answer = _scalar_adversary_answer(oracle)
+    else:
+        answer = lambda p: _reference_value(oracle.spec, p)
+    reference = _MemoisingRecorder(answer)
+    for how, rows, stop, limit in script:
+        if how == "rows":
+            got = oracle.query_rows(rows, stop, limit).tolist()
+            want = reference.query_rows(rows, stop, limit)
+        else:
+            got = [oracle.query(Point(row.tolist())) for row in rows]
+            want = [reference.query(Point(row.tolist())) for row in rows]
+        assert repr(got) == repr(want)
+    assert repr([(p.coords, v) for p, v in oracle.query_log]) == repr(reference.log)
+    assert oracle.query_count == len(reference.log)
+    memo = oracle.memo
+    assert repr(list(memo.items())) == repr(list(reference.memo.items()))
+    assert all(repr(memo[p.coords]) == repr(v) for p, v in oracle.query_log)
+
+
+@pytest.mark.parametrize("kind", ORACLE_KINDS + ("adversary",))
+def test_fresh_oracles_answer_signed_zero_twins_alike(kind):
+    # Fresh oracles share no memo, so the twins agree only if the seeded
+    # noise reads -0.0 as 0.0; hashing the raw bytes gave 0.953... at
+    # (-0.0, 0.5) and 0.465... at (0.0, 0.5).
+    def fresh():
+        if kind == "adversary":
+            return build_adversarial_instance(8.0, 2)
+        c = 8.0 if kind == "piecewise_lower_bound" else 2.0
+        return make_oracle(kind, point(0.1, -0.2), c=c, c_lo=0.5 if c == 2.0 else 1.0, seed=3)
+
+    for y in (0.5, 0.1, -1.25):
+        twins = [point(-0.0, y), point(0.0, y)]
+        singles = [fresh().query(p) for p in twins]
+        batched = [fresh().query_rows(np.array([p.coords]), -1.0, 1).item() for p in twins]
+        assert singles[0] == singles[1] == batched[0] == batched[1], (kind, y)
+
+
+def _ks_uniform(u):
+    """Kolmogorov-Smirnov distance of the sample u from uniform on [0, 1)."""
+    u = np.sort(u)
+    n = len(u)
+    return max((np.arange(1, n + 1) / n - u).max(), (u - np.arange(n) / n).max())
+
+
+@pytest.mark.parametrize("rows", ["lattice", "normal"])
+def test_seeded_noise_draws_are_uniform(rows):
+    # 10^5 rows: lattice rows like those of a step net, or scattered ones.
+    n = 100_000
+    if rows == "lattice":
+        k = np.arange(n)
+        pts = np.stack([k // 400, k % 400], axis=1) * 0.0125 - 2.0
+    else:
+        pts = np.random.default_rng(5).normal(size=(n, 2))
+    oracle = make_oracle("seeded_noise", point(0.1, -0.2), c=2.0, seed=11)
+    u = oracle._noise_draws(np.ascontiguousarray(pts))
+    assert len(u) == n and (0.0 <= u).all() and (u < 1.0).all()
+    # The mean of n uniform draws has standard deviation 1/sqrt(12 n).
+    assert abs(u.mean() - 0.5) < 5.0 / math.sqrt(12.0 * n)
+    # 1.63/sqrt(n) is the KS test's 1% critical value.
+    assert _ks_uniform(u) < 1.63 / math.sqrt(n)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,7 +267,8 @@ def test_replay_consistent_detects_a_changed_answer():
     instance, _, _ = _run_lowerbound(16.0, 2)
     assert replay_consistent(instance)
     # One answer off by one ulp must fail the bit-exact replay.
-    instance._log_values[-1] = math.nextafter(instance._log_values[-1], math.inf)
+    _, values = instance.query_arrays()
+    values[-1] = math.nextafter(values[-1], math.inf)
     assert not replay_consistent(instance)
 
 
@@ -401,3 +403,20 @@ def test_adversary_answers_a_long_walk_in_bounded_chunks(monkeypatch):
     assert repr(values.tolist()) == repr(per_row.query_rows(walk, -1.0, len(walk)).tolist())
     assert instance.live == per_row.live
 
+
+def test_query_log_and_trace_retain_at_most_72_bytes_per_query():
+    # The lowerbound c=64 d=2 known_c run answers 88,866 queries. The log
+    # keeps a float64 row and value per query (24 B), the trace a row, a
+    # value and a label pair per vertex (40 B). A log of coordinate tuples
+    # and Python floats with a memo dict takes 253 B per query.
+    instance = build_adversarial_instance(64.0, 2)
+    _unit_walk(2, 1.0 / 128.0)  # the cached step net is not part of the log
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run_strategy(instance, StrategyConfig(kind="known_c", c_guess=64.0))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.reached and instance.query_count == len(trace.rows) == 88_866
+    assert retained <= 72 * instance.query_count
