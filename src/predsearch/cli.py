@@ -148,6 +148,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         )
         if not exact:
             raise ConfigError("exact_c1 requires an exact oracle (c_lo = c_hi = 1)")
+    elif oracle_spec.c_lo < 1.0:
+        raise ConfigError(f"{strategy.kind} needs lambda(p) >= |pt|, i.e. oracle c_lo = 1")
     return RunConfig(d=d, target=target, oracle_spec=oracle_spec, strategy=strategy, seed=seed)
 
 
@@ -197,6 +199,8 @@ def cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     cfg = parse_run_config(doc)
+    if args.svg is not None and cfg.d != 2:
+        raise ConfigError(f"--svg needs d = 2, got d = {cfg.d}")
     oracle = PredictionOracle(cfg.oracle_spec)
     trace = run_strategy(oracle, cfg.strategy)
     report = audit_trace(trace, cfg.target, cfg.strategy, oracle)
@@ -326,6 +330,8 @@ def cmd_lowerbound(args) -> int:
         raise ConfigError("strategy must be known_c or unknown_c")
     if args.d < 1 or not 0.0 < args.delta < math.inf:
         raise ConfigError("need d >= 1 and finite delta > 0")
+    if args.svg is not None and args.d != 2:
+        raise ConfigError(f"--svg needs d = 2, got d = {args.d}")
     instance = build_adversarial_instance(args.c, args.d)
     config = StrategyConfig(
         kind=args.strategy,

@@ -17,7 +17,6 @@ slab's kept points with one numpy call.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -57,8 +56,8 @@ _BLOCK_GUARD = 1.0 + 1e-9
 _WALK_NEIGHBORS = 8
 
 # Cell grid sizes, as average rows per 3^d block for the walk's neighbour
-# lists and per cell for the covering check's first pass, and the candidate
-# pairs per grid lookup.
+# lists and per cell for the covering check, and the candidate pairs per
+# grid lookup.
 _WALK_BLOCK_ROWS = 27.0
 _COVER_CELL_ROWS = 0.25
 _PAIR_CHUNK = 1 << 14
@@ -281,22 +280,23 @@ class _CellGrid:
     """Rows bucketed in cubic cells of side ``h``, sorted by flat cell key: a
     fixed-radius near-neighbour grid (Bentley, Stanat & Williams, IPL 1977).
 
-    A point's cell is floor((x - lo) / h) + 1 on each axis, ``lo`` being the
-    rows' lower corner, so the rows fill cells 1..m and the border layers 0
-    and m + 1 stay empty: a cell one step off the rows, or a far probe
-    clipped into the border, aliases only empty cells. The last axis varies
-    fastest, so the three cells of a block along it hold one run of the
-    sorted rows, and a point's 3^d block is 3^(d-1) such runs.
+    A point's cell is floor((x - lo) / h) + 1 on each axis, clipped to the
+    border layers 0 and m + 1, which the rows, in cells 1..m above their
+    lower corner ``lo``, leave empty. The last axis varies fastest, so the
+    radius-r block of a cell, the cells within r of it on every axis, is
+    (2r + 1)^(d-1) runs of the sorted rows.
 
-    Completeness: a row at :func:`dists_to` distance below h / _BLOCK_GUARD
-    from a point lies in the point's block. No coordinate difference exceeds
-    the distance, and rounding moves a cell coordinate by at most
-    ~2^-52 * (m + 1) cells, far below the guard's 1e-9 because ``h`` is
-    raised where needed to keep m <= 2^20 (and the key space below 2^60).
-    ``h`` is also at least 2^-500, so that a coordinate difference that
-    leaves the block squares to a normal float: a difference below ~2^-511
-    squares to 0 and is missing from the distance. A box of zero extent gets
-    h = 1. Memory is O(n) plus the lookups.
+    Widening rule: a row at :func:`dists_to` distance below r * h /
+    _BLOCK_GUARD from a point lies in the radius-r block of its cell, so a
+    block's nearest row that close is the nearest of all, as is any once r
+    reaches the grid's span. No coordinate difference exceeds the distance;
+    rounding moves a cell coordinate by ~2^-52 * (m + 1) cells at most, far
+    below the guard's 1e-9, as ``h`` is raised to keep m <= 2^20 (and the
+    key space below 2^60); clipping a point into the border moves its cell
+    towards the rows', which only widens its true gaps; and a run past the
+    border aliases another run, which only adds rows. ``h`` is at least
+    2^-500, as a coordinate difference below ~2^-511 squares to 0 and drops
+    out of the distance, and 1 for a box of zero extent.
     """
 
     def __init__(self, rows: np.ndarray, h: float):
@@ -310,23 +310,16 @@ class _CellGrid:
         self.top = np.floor(extent / self.h) + 2.0
         widths = self.top.astype(np.int64) + 1
         self.strides = np.append(np.cumprod(widths[:0:-1])[::-1], 1)
-        # Each run's cell offset on the leading axes, and the flat offset to
-        # its middle cell; ascending.
-        self.prefixes = np.array(list(itertools.product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
-        self.runs = self.prefixes @ self.strides[:-1]
+        self.runs = self.runs_within(1)  # the 3^d block's, ascending
         keys = self.cell_keys(rows)
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
         # Coordinate k of the sorted rows is cols[k], so gathers are contiguous.
         self.cols = np.ascontiguousarray(rows[self.order].T)
 
-    def cells(self, points: np.ndarray):
-        """Each point's position (x - lo) / h in cell units and its cell."""
-        where = (points - self.lo) / self.h
-        return where, np.clip(np.floor(where) + 1.0, 0.0, self.top)
-
     def cell_keys(self, points: np.ndarray) -> np.ndarray:
-        return self.cells(points)[1].astype(np.int64) @ self.strides
+        cells = np.clip(np.floor((points - self.lo) / self.h) + 1.0, 0.0, self.top)
+        return cells.astype(np.int64) @ self.strides
 
     def block(self, keys: np.ndarray, runs: np.ndarray | None = None, radius: int = 1):
         """Start and end in the sorted rows of each run of the block of cells
@@ -341,35 +334,11 @@ class _CellGrid:
         )
 
     def runs_within(self, radius: int) -> np.ndarray:
-        """Flat offsets of the runs of the (2 radius + 1)^d block: one per
-        cell offset within ``radius`` on each leading axis. An offset past
-        the grid's border aliases another run of cells, which only adds rows."""
+        """Flat offsets, ascending, of the runs of the radius-``radius`` block."""
         off = np.zeros(1, dtype=np.int64)
         for stride in self.strides[:-1]:
             off = np.add.outer(off, np.arange(-radius, radius + 1) * stride).ravel()
         return off
-
-    def near_block(self, points: np.ndarray):
-        """:meth:`block` around each point's cell, without the cells that lie
-        farther than h * _BLOCK_GUARD from the point.
-
-        On each axis, cell c - 1 lies where - (c - 1) cells below a point in
-        cell c and cell c + 1 lies c - where above it; a cell's gap is the
-        norm of these over the axes on which it is off the point's cell. The
-        end cells of a run are dropped by moving the searched keys inwards,
-        and a run whose middle cell is far becomes empty. The guard's margin
-        covers the rounding of the cell coordinates of both the point and
-        the rows, so no dropped row lies within h / _BLOCK_GUARD."""
-        where, cell = self.cells(points)
-        # Any gap over one cell is far; clipping at 2 keeps the squares finite.
-        below = np.clip(where - (cell - 1.0), 0.0, 2.0) ** 2
-        above = np.clip(cell - where, 0.0, 2.0) ** 2
-        lead = (self.prefixes < 0) @ below[:, :-1].T + (self.prefixes > 0) @ above[:, :-1].T
-        limit = _BLOCK_GUARD**2
-        middle = self.runs[:, None] + cell.astype(np.int64) @ self.strides
-        low = middle - 1 + (lead + below[:, -1] > limit) + (lead > limit)
-        high = middle + 1 - (lead + above[:, -1] > limit)
-        return np.searchsorted(self.keys, low, "left").T, np.searchsorted(self.keys, high, "right").T
 
 
 def _pairs(start: np.ndarray, end: np.ndarray):
@@ -448,12 +417,10 @@ def _visit_indices(arr: np.ndarray, start) -> np.ndarray:
     than min(h, k-th listed distance) / ``_BLOCK_GUARD``: an unlisted row
     either lies outside the block, at h / _BLOCK_GUARD or more, or in it at
     the k-th distance or more, so it can neither win nor tie. Otherwise the
-    step searches the blocks of cells within r = 2, 4, 8, ... of its row's
-    cell and takes the nearest unvisited row of the first block where that
-    row lies closer than r * h / _BLOCK_GUARD, which by the same argument no
-    row outside the block can beat, or of the first block that spans the
-    grid. Once the unvisited rows are fewer than a block is expected to
-    hold, the step measures them all instead.
+    step takes the nearest unvisited row of the blocks of radius r = 2, 4,
+    8, ... around its row's cell by the widening rule of :class:`_CellGrid`,
+    or, once the unvisited rows are fewer than a block is expected to hold,
+    measures them all.
     """
     n, d = arr.shape
     k = _WALK_NEIGHBORS
@@ -555,26 +522,28 @@ def sample_in_ball(rng: np.random.Generator, ball: Ball, n: int) -> np.ndarray:
 def _nearest_distances(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
     """Exact :func:`dists_to` distance from each probe to its nearest row.
 
-    A cell grid answers every probe whose nearest row in its 3^d block lies
-    within h / ``_BLOCK_GUARD``, which no row outside the block can beat.
-    Cells of the block that lie beyond h * ``_BLOCK_GUARD`` are skipped, as
-    no row there can be such an answer. The other probes retry on a grid of
-    side 2h, and so on; once h spans the rows, every block holds them all.
-    The probes are looked up ``_QUERY_CHUNK`` at a time.
+    Rounds r = 1, 2, 4, ... on one cell grid follow the widening rule of
+    :class:`_CellGrid`, ``_QUERY_CHUNK`` probes at a time, fewer in wider
+    blocks so that no lookup searches more runs. Once r reaches the grid's
+    span or a block is expected to hold every row, the last round measures
+    every row.
     """
+    grid = _CellGrid(rows, _cell_side(rows, _COVER_CELL_ROWS))
+    keys = grid.cell_keys(probes)
+    todo = np.argsort(keys, kind="stable")
     gaps = np.full(len(probes), np.inf)
-    todo = np.arange(len(probes))
-    h = _cell_side(rows, _COVER_CELL_ROWS)
+    r = 1
     while len(todo):
-        grid = _CellGrid(rows, h)
-        keys = grid.cell_keys(probes[todo])
-        todo = todo[np.argsort(keys, kind="stable")]
+        last = r >= grid.top.max() or (2 * r + 1) ** rows.shape[1] * _COVER_CELL_ROWS >= len(rows)
+        # One run over the whole key space, below 2^60, holds every row once.
+        runs, reach = (np.zeros(1, np.int64), 2**60) if last else (grid.runs_within(r), r)
+        chunk = max(1, _QUERY_CHUNK * len(grid.runs) // len(runs))
         best = np.full(len(todo), np.inf)
-        for a in range(0, len(todo), _QUERY_CHUNK):
-            batch = probes[todo[a : a + _QUERY_CHUNK]]
-            start, end = grid.near_block(batch)
-            cols = np.ascontiguousarray(batch.T)
-            near = best[a : a + _QUERY_CHUNK]
+        for a in range(0, len(todo), chunk):
+            batch = todo[a : a + chunk]
+            start, end = grid.block(keys[batch], runs, reach)
+            cols = np.ascontiguousarray(probes[batch].T)
+            near = best[a : a + chunk]
             for first, size, p in _pairs(start, end):
                 here = slice(first, first + len(size))
                 # Each probe's pairs are adjacent: reduce them in one run.
@@ -582,10 +551,10 @@ def _nearest_distances(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:
                 if len(heads):
                     dist = _pair_distances(grid, p, cols[:, here], size)
                     near[here][size > 0] = np.minimum.reduceat(dist, heads)
-        done = best <= grid.h / _BLOCK_GUARD
+        done = (best < r * grid.h / _BLOCK_GUARD) | last
         gaps[todo[done]] = best[done]
         todo = todo[~done]
-        h = 2.0 * grid.h
+        r *= 2
     return gaps
 
 

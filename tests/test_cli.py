@@ -257,6 +257,44 @@ def test_invalid_numbers_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_svg_with_d_other_than_2_exits_2_before_any_work(tmp_path, capsys):
+    # These once wrote the CSV and report (or ran the whole adversarial
+    # search) and then died with a ValueError traceback from render_svg.
+    doc = {
+        "d": 3,
+        "seed": 1,
+        "target": [0.3, 0.2, -0.1],
+        "oracle": {"kind": "seeded_noise", "c_hi": 2.0},
+        "strategy": {"kind": "known_c", "c_guess": 2.0},
+    }
+    outputs = [tmp_path / name for name in ("trace.csv", "report.json", "trace.svg")]
+    run = ["run", "--config", write_config(tmp_path, doc), "--out", str(outputs[0])]
+    run += ["--report", str(outputs[1]), "--svg", str(outputs[2])]
+    for argv in (run, ["lowerbound", "--c", "24", "--d", "3", "--svg", str(outputs[2])]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(path.exists() for path in outputs)
+
+
+def test_contraction_with_c_lo_below_1_exits_2_at_once(tmp_path, capsys):
+    # The halving argument needs lambda(p) >= |pt|; this config once ran for
+    # seconds and failed on the lattice cap of a net.
+    doc = {
+        "d": 2,
+        "seed": 3,
+        "target": "random",
+        "target_radius": 1.5,
+        "oracle": {"kind": "seeded_noise", "c_hi": 4.0, "c_lo": 0.5},
+        "strategy": {"kind": "unknown_c"},
+    }
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lambda(p) >= |pt|" in err
+    assert not out.exists()
+
+
 def test_sweep_d0_exits_2_promptly(tmp_path):
     # A zero-dimensional sweep cell once resampled a size-0 direction forever;
     # a child process turns such a hang into a timeout.

@@ -222,7 +222,7 @@ def test_check_separation_finds_a_pair_whose_square_underflows():
 
 @st.composite
 def _cover_cases(draw):
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     coord = st.one_of(
         st.integers(-3, 3).map(float),
@@ -239,6 +239,26 @@ def _cover_cases(draw):
 @given(_cover_cases())
 def test_nearest_distances_match_brute_force(case):
     rows, probes = case
+    brute = np.array([np.min(dists_to(rows, probe)) for probe in probes])
+    assert np.array_equal(_nearest_distances(rows, probes), brute)
+
+
+def test_nearest_distances_bound_each_lookup_on_a_skewed_cloud(monkeypatch):
+    # Rows spread along axis 0 alone put 2^20 cells on it, so a far probe
+    # would only stop widening at a radius near 2^20, with ~2^40 runs per
+    # block at d = 3. Every lookup searches at most a first-round chunk's
+    # runs, also when more probes than a chunk reach the wider blocks.
+    rng = np.random.default_rng(1)
+    rows = rng.uniform(-1e-300, 1e-300, (60, 3))
+    rows[:, 0] = rng.uniform(-3.0, 3.0, 60)
+    probes = rng.uniform(-1e3, 1e3, (2 * _QUERY_CHUNK, 3))
+    block = nets._CellGrid.block
+
+    def bounded(grid, keys, runs=None, radius=1):
+        assert len(keys) * (9 if runs is None else len(runs)) <= _QUERY_CHUNK * 9
+        return block(grid, keys, runs, radius)
+
+    monkeypatch.setattr(nets._CellGrid, "block", bounded)
     brute = np.array([np.min(dists_to(rows, probe)) for probe in probes])
     assert np.array_equal(_nearest_distances(rows, probes), brute)
 
