@@ -33,7 +33,6 @@ from .oracles import (
     ORACLE_KINDS,
     OracleSpec,
     PredictionOracle,
-    QueryHistory,
     QueryRecorder,
     check_prediction_bounds,
     infer_lipschitz,

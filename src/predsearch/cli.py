@@ -26,6 +26,8 @@ import numpy as np
 
 from .geometry import Ball, Point, cumulative_lengths, origin
 from .nets import (
+    MAX_SCALE,
+    MIN_SCALE,
     CandidateCapExceeded,
     build_net,
     check_covering,
@@ -129,6 +131,12 @@ def parse_run_config(doc: dict) -> RunConfig:
         raise ConfigError(f"bad oracle config: {exc}") from exc
     if oracle_doc:
         raise ConfigError(f"unknown oracle keys: {sorted(oracle_doc)}")
+    norm, c_hi = math.hypot(*target.coords), oracle_spec.c_hi
+    if norm != 0.0 and not (MIN_SCALE <= norm and c_hi * norm <= MAX_SCALE):
+        raise ConfigError(
+            f"a nonzero target needs 2^-500 <= |ot| and c_hi*|ot| <= 2^500, "
+            f"got |ot| = {norm!r}, c_hi = {c_hi!r}"
+        )
     try:
         strategy = StrategyConfig(
             kind=strategy_doc.pop("kind"),
@@ -362,8 +370,10 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_net(args) -> int:
-    if args.d < 1 or args.samples < 1 or args.seed < 0 or not 0.0 < args.eps <= args.r < math.inf:
-        raise ConfigError("need d >= 1, samples >= 1, seed >= 0 and 0 < eps <= r < inf")
+    if args.d < 1 or args.samples < 1 or args.seed < 0:
+        raise ConfigError("need d >= 1, samples >= 1 and seed >= 0")
+    if not MIN_SCALE <= args.eps <= args.r <= MAX_SCALE:
+        raise ConfigError(f"need 2^-500 <= eps <= r <= 2^500, got eps={args.eps!r}, r={args.r!r}")
     net = build_net(Ball(origin(args.d), args.r), args.eps)
     lower = net_size_lower_bound(args.r, args.eps, args.d)
     upper = net_size_upper_bound(args.r, args.eps, args.d)

@@ -44,6 +44,11 @@ __all__ = [
 # CandidateCapExceeded before anything is allocated.
 CANDIDATE_CAP = 5_000_000
 
+# The range of lengths the CLI accepts, [2^-500, 2^500]: squared distances
+# then stay normal floats, as a coordinate difference below ~2^-511 squares
+# to 0 and drops out of the distance, and one above 2^512 squares to inf.
+MIN_SCALE, MAX_SCALE = 2.0**-500, 2.0**500
+
 # A pair at dists_to distance below h / _BLOCK_GUARD lies in neighbouring
 # cells of side h (see _CellGrid): the guard absorbs the rounding of the
 # cell coordinates. It also makes the lattice greedy's integer stencil block
@@ -295,8 +300,8 @@ class _CellGrid:
     key space below 2^60); clipping a point into the border moves its cell
     towards the rows', which only widens its true gaps; and a run past the
     border aliases another run, which only adds rows. ``h`` is at least
-    2^-500, as a coordinate difference below ~2^-511 squares to 0 and drops
-    out of the distance, and 1 for a box of zero extent.
+    MIN_SCALE, below which differences drop out of the distance, and 1 for
+    a box of zero extent.
     """
 
     def __init__(self, rows: np.ndarray, h: float):
@@ -304,7 +309,7 @@ class _CellGrid:
         self.lo = rows.min(axis=0)
         extent = rows.max(axis=0) - self.lo
         span = float(extent.max())
-        self.h = max(h, span / min(2**20, int(2.0 ** (60.0 / d)) - 4), 2.0**-500)
+        self.h = max(h, span / min(2**20, int(2.0 ** (60.0 / d)) - 4), MIN_SCALE)
         if span == 0.0:
             self.h = max(self.h, 1.0)
         self.top = np.floor(extent / self.h) + 2.0

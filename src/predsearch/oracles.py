@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "ORACLE_KINDS",
     "OracleSpec",
     "PredictionOracle",
-    "QueryHistory",
     "QueryRecorder",
     "piecewise_prediction",
     "piecewise_predictions",
@@ -87,10 +86,6 @@ class OracleSpec:
                     f"piecewise_lower_bound target must satisfy |o t| <= {limit}, got {dist_origin}"
                 )
 
-    @property
-    def dimension(self) -> int:
-        return self.target.dimension
-
 
 def piecewise_prediction(target: Point, c: float, p: Point) -> float:
     """Piecewise prediction: c*|pt| inside B(t, 1/c), 1 inside B(o, 1/2)
@@ -119,22 +114,22 @@ def piecewise_predictions(target: Point, c: float, rows: np.ndarray) -> np.ndarr
 
 
 class QueryRecorder:
-    """Query log shared by the prediction oracle and the adversary.
+    """Query protocol shared by the prediction oracle and the adversary.
 
-    A recorder only records: every query, repeats included, is logged in
-    order as float64 arrays of points and values, one pair per evaluated
-    chunk. Nothing is remembered between queries, as every answer is a
-    function of the point alone (each subclass says why).
+    The recorder holds ``dimension`` and ``c_factor``, stops and logs; a
+    subclass only supplies values, in ``_answer``. Every query, repeats
+    included, is logged in order as float64 arrays of points and values,
+    and that log is the only query history. Nothing is remembered between
+    queries, as every answer is a function of the point alone (each
+    subclass says why).
 
     ``query_rows(rows, stop, limit)`` is the batched protocol of the
     contraction step: it queries the rows of an (n, d) array in order, stops
     after the first value ``<= stop`` or after ``limit`` rows, and returns
     the values queried. It rejects a batch with a non-finite row before
-    logging anything. Each subclass evaluates points in one place,
-    ``_answer_chunk``, which answers and logs a prefix of a chunk of rows.
-    The rows go to it in chunks of 16, 32, 64, ... up to ``_LAST_CHUNK``
-    rows, and a single ``query`` is a one-row chunk; wherever ``query`` is
-    overridden or wrapped, every row goes through ``query`` instead.
+    logging anything. The rows go to ``_answer_chunk`` in chunks of 16, 32,
+    64, ... up to ``_LAST_CHUNK`` rows, and a single ``query`` is a one-row
+    chunk.
     """
 
     _FIRST_CHUNK = 16
@@ -142,16 +137,12 @@ class QueryRecorder:
     # target, so the doubling stops here to bound that working memory.
     _LAST_CHUNK = 1 << 10
 
-    def __init__(self):
+    def __init__(self, dimension: int, c_factor: float):
+        self.dimension = dimension
+        self.c_factor = c_factor
         self.query_count = 0
         self._row_chunks: list[np.ndarray] = []
         self._value_chunks: list[np.ndarray] = []
-
-    @property
-    def query_log(self) -> list[tuple[Point, float]]:
-        """Every logged query as a ``(Point, value)`` pair, built on read."""
-        rows, values = self.query_arrays()
-        return list(zip(map(Point, rows.tolist()), values.tolist()))
 
     @property
     def memo(self) -> dict[tuple[float, ...], float]:
@@ -173,21 +164,17 @@ class QueryRecorder:
             self._value_chunks = [np.concatenate([np.empty(0), *self._value_chunks])]
         return self._row_chunks[0], self._value_chunks[0]
 
-    def _log(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Log copies of the answered rows and values, so that no larger
-        array stays alive."""
-        self._row_chunks.append(rows.copy())
-        self._value_chunks.append(values.copy())
-        self.query_count += len(values)
-
     def query(self, p: Point) -> float:
         if p.dimension != self.dimension:
             raise ValueError(f"query dimension {p.dimension} != dimension {self.dimension}")
         self._answer_chunk(np.array([p.coords], dtype="<f8"), -math.inf)
         return self._value_chunks[-1].item()
 
-    # Subclasses hold this ``query`` as their own attribute, so that a
-    # wrapper on one class leaves the other alone.
+    # Subclasses bind this ``query`` as their own, so that a wrapper on one
+    # class leaves the other alone; ``_query_prefix`` sends every row through
+    # a replaced ``query``; ``memo`` is a view of the log. bench/tracer.py
+    # needs all three: it wraps ``query`` per class and counts ``memo``, and
+    # bench/tests assert that its ``oracles.query.calls`` is the query count.
     _chunked_query = query
 
     def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
@@ -219,8 +206,22 @@ class QueryRecorder:
             size = min(2 * size, self._LAST_CHUNK)
 
     def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
-        """Answer and log the rows of a nonempty C-contiguous float64 array
-        in order until a value ``<= stop``; True if one was."""
+        """Answer the rows of a nonempty C-contiguous float64 array in order
+        until a value ``<= stop``, and log copies of the rows and values
+        answered, so that no larger array stays alive; True if one was."""
+        values = self._answer(rows, stop)
+        stops = np.flatnonzero(values <= stop)
+        if len(stops):
+            values = values[: stops[0] + 1]
+        self._row_chunks.append(rows[: len(values)].copy())
+        self._value_chunks.append(values.copy())
+        self.query_count += len(values)
+        return len(stops) > 0
+
+    def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
+        """The values of a prefix of the rows, in order, that reaches the
+        first value ``<= stop`` if the rows have one; the recorder logs
+        them only up to that value."""
         raise NotImplementedError
 
 
@@ -228,48 +229,31 @@ class PredictionOracle(QueryRecorder):
     """Queryable prediction source; owns the hidden target.
 
     Every kind is a pure function of the point, so a revisit gets the
-    identical value without a memo. Rows are evaluated in bulk: distances
-    come from ``dists_to``, and the seeded noise hashes each row's
-    little-endian float64 bytes after adding 0.0, so that -0.0 and 0.0 get
-    the same draw. Where ``query`` is overridden or wrapped, ``query_rows``
-    sends every row through it instead.
+    identical value without a memo, and ``_answer`` evaluates a whole chunk.
+    Every kind but the piecewise one scales the ``dists_to`` distance by a
+    factor: fixed at construction, or the seeded noise's, which hashes each
+    row's little-endian float64 bytes after adding 0.0, so that -0.0 and
+    0.0 get the same draw.
     """
 
     query = QueryRecorder.query
 
     def __init__(self, spec: OracleSpec):
-        super().__init__()
+        super().__init__(spec.target.dimension, spec.c_hi)
         self.spec = spec
         self._noise_hash = blake2b(digest_size=8, key=struct.pack("<q", spec.seed))
+        # |pt|'s factor where it is fixed, else None; 1.0 * x == x bit for bit.
+        fixed = {"exact": 1.0, "affine": spec.alpha, "midpoint_open": (1.0 + spec.c_hi) / 2.0}
+        self._factor = fixed.get(spec.kind)
 
-    @property
-    def dimension(self) -> int:
-        return self.spec.dimension
-
-    @property
-    def c_factor(self) -> float:
-        return self.spec.c_hi
-
-    def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
-        values = self._evaluate(rows)
-        stops = np.flatnonzero(values <= stop)
-        n = stops[0] + 1 if len(stops) else len(values)
-        self._log(rows[:n], values[:n])
-        return len(stops) > 0
-
-    def _evaluate(self, rows: np.ndarray) -> np.ndarray:
-        """Predictions at the rows of a C-contiguous float64 array."""
+    def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
         spec = self.spec
         if spec.kind == "piecewise_lower_bound":
             return piecewise_predictions(spec.target, spec.c_hi, rows)
-        dist = dists_to(rows, spec.target.coords)
-        if spec.kind == "affine":
-            return spec.alpha * dist
-        if spec.kind == "midpoint_open":
-            return (1.0 + spec.c_hi) / 2.0 * dist
-        if spec.kind == "exact":
-            return dist
-        return (spec.c_lo + (spec.c_hi - spec.c_lo) * self._noise_draws(rows)) * dist
+        factor = self._factor
+        if factor is None:
+            factor = spec.c_lo + (spec.c_hi - spec.c_lo) * self._noise_draws(rows)
+        return factor * dists_to(rows, spec.target.coords)
 
     def _noise_draws(self, rows: np.ndarray) -> np.ndarray:
         """The seeded noise's draw u in [0, 1) at each row: the keyed hash of
@@ -319,43 +303,20 @@ def validate_oracle(oracle: PredictionOracle, probes: int, radius: float, seed: 
     )
 
 
-@dataclass
-class QueryHistory:
-    """Explored points with their prediction values."""
-
-    points: list[Point] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.points) != len(self.values):
-            raise ValueError("points and values must have equal length")
-        if any(v < 0.0 for v in self.values):
-            raise ValueError("prediction values are nonnegative")
-
-    def add(self, p: Point, value: float) -> None:
-        if value < 0.0:
-            raise ValueError("prediction values are nonnegative")
-        self.points.append(p)
-        self.values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def infer_lipschitz(history: QueryHistory, p: Point) -> float:
-    """Tightest triangle-inequality consequence of the history at p:
-    min over recorded (p', v) of |pp'| + v. 1-Lipschitz in p."""
-    if len(history) == 0:
+def infer_lipschitz(rows: np.ndarray, values: np.ndarray, p: Point) -> float:
+    """Tightest triangle-inequality consequence at p of queries at the rows
+    of an (n, d) float64 array with their values: min over them of
+    |pp'| + v. 1-Lipschitz in p."""
+    if len(values) == 0:
         raise ValueError("history is empty")
-    arr = np.array([q.coords for q in history.points], dtype=np.float64)
-    totals = dists_to(arr, p.coords) + np.array(history.values, dtype=np.float64)
-    return float(np.min(totals))
+    return float(np.min(dists_to(rows, p.coords) + values))
 
 
-def refined_query(oracle: PredictionOracle, history: QueryHistory, p: Point) -> float:
-    """min of the oracle's answer and the history inference; still a valid
-    prediction whenever the oracle is."""
+def refined_query(oracle: QueryRecorder, p: Point) -> float:
+    """min of the oracle's answer at p and the inference from its log of the
+    queries before this one; still a valid prediction whenever the oracle is."""
+    rows, values = oracle.query_arrays()
     direct = oracle.query(p)
-    if len(history) == 0:
+    if len(values) == 0:
         return direct
-    return min(direct, infer_lipschitz(history, p))
+    return min(direct, infer_lipschitz(rows, values, p))

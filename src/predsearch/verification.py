@@ -88,9 +88,9 @@ class AdversarialInstance(QueryRecorder):
 
     Presents the oracle interface used by the strategies (query, query_rows,
     query_count, dimension, c_factor). Mutable single-owner state: one
-    instance per run. ``_answer_chunk`` measures a chunk's distances to
-    every candidate and to the origin at once and then answers its rows in
-    order; a single ``query`` is a one-row chunk.
+    instance per run. ``_answer`` measures a chunk's distances to every
+    candidate and to the origin at once and then answers its rows in order,
+    up to the first value ``<= stop``; a single ``query`` is a one-row chunk.
 
     No memo is needed: a query that falls in a live ball removes that
     candidate while others live, so after a query at p either no live ball
@@ -103,27 +103,18 @@ class AdversarialInstance(QueryRecorder):
     query = QueryRecorder.query
 
     def __init__(self, c: float, targets: tuple[Point, ...]):
-        super().__init__()
         if c <= 4.0:
             raise ValueError("the adversarial construction needs c > 4")
         if len(targets) == 0:
             raise ValueError("need at least one candidate target")
-        self.c = float(c)
-        self.d = targets[0].dimension
+        super().__init__(targets[0].dimension, float(c))
+        self.c = self.c_factor
         self.targets = tuple(targets)
         self.ball_radius = 1.0 / self.c
         self.live: list[int] = list(range(len(targets)))
-        self._origin = origin(self.d)
+        self._origin = origin(self.dimension)
         # centres[k] holds coordinate k of every candidate, as a column.
         self._centres = np.array([t.coords for t in targets]).T[:, :, None]
-
-    @property
-    def dimension(self) -> int:
-        return self.d
-
-    @property
-    def c_factor(self) -> float:
-        return self.c
 
     @property
     def committed(self) -> Point | None:
@@ -132,19 +123,18 @@ class AdversarialInstance(QueryRecorder):
             return self.targets[self.live[0]]
         return None
 
-    def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
+    def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
         dist_t = dists_to(rows, self._centres).T
         near = (dist_t <= self.ball_radius).any(axis=1).tolist()
         dist_o = dists_to(rows, self._origin.coords).tolist()
         values = []
         for r in range(len(rows)):
-            values.append(self._answer(dist_t[r], dist_o[r], near[r]))
+            values.append(self._answer_row(dist_t[r], dist_o[r], near[r]))
             if values[-1] <= stop:
                 break
-        self._log(rows[: len(values)], np.array(values))
-        return values[-1] <= stop
+        return np.array(values)
 
-    def _answer(self, dist_t: np.ndarray, dist_o: float, near: bool) -> float:
+    def _answer_row(self, dist_t: np.ndarray, dist_o: float, near: bool) -> float:
         """Answer a query from ``dist_t``, its distance to every candidate,
         and ``dist_o``, its distance to the origin. ``near`` False says that
         no candidate's ball holds the query."""

@@ -17,7 +17,6 @@ from predsearch import (
     OracleSpec,
     Point,
     PredictionOracle,
-    QueryHistory,
     StrategyConfig,
     adversarial_path_floor,
     audit_trace,
@@ -284,18 +283,17 @@ def test_criterion_7_lipschitz_inference():
         oracle = PredictionOracle(
             OracleSpec(kind="seeded_noise", target=target, c_hi=8.0, seed=h)
         )
-        history = QueryHistory()
-        for row in rng.normal(size=(50, 2)) * 2.0:
-            p = Point(tuple(row))
-            history.add(p, oracle.query(p))
+        oracle.query_rows(rng.normal(size=(50, 2)) * 2.0, -math.inf, 50)
+        rows, values = oracle.query_arrays()
         for _ in range(10):
             p = Point(tuple(rng.normal(size=2) * 2.0))
             q = Point(tuple(rng.normal(size=2) * 2.0))
-            gap = abs(infer_lipschitz(history, p) - infer_lipschitz(history, q))
+            gap = abs(infer_lipschitz(rows, values, p) - infer_lipschitz(rows, values, q))
             assert gap <= distance(p, q) + 1e-12, (h, p, q)
             pair_checks += 1
-        refined = lambda rows: [
-            min(oracle.query(pt), infer_lipschitz(history, pt)) for pt in map(Point, rows.tolist())
+        refined = lambda probes: [
+            min(oracle.query(pt), infer_lipschitz(rows, values, pt))
+            for pt in map(Point, probes.tolist())
         ]
         assert check_prediction_bounds(
             refined, target, 1.0, 8.0, probes=100, radius=3.0, seed=h

@@ -257,6 +257,52 @@ def test_invalid_numbers_exit_2(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def _range_config(target, delta_stop=1e-3):
+    return {
+        "d": 2,
+        "seed": 1,
+        "target": target,
+        "oracle": {"kind": "seeded_noise", "c_hi": 2.0},
+        "strategy": {"kind": "known_c", "c_guess": 2.0, "delta_stop": delta_stop},
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # Squares of 1e155 overflow: the closed-ball refilter kept 3 of 101 points.
+        ["net", "--d", "2", "--r", "1e155", "--eps", "2.5e154"],
+        # Squares of 1e-200 underflow: the separation check failed with max_gap=0.
+        ["net", "--d", "2", "--r", "1e-200", "--eps", "2.5e-201", "--check"],
+        # The first step's net rows overflowed to inf: a ValueError traceback.
+        _range_config([1e200, 0.0]),
+        # |ot| squared to 0: a false audit, reached after 1 query at ratio "degenerate".
+        _range_config([1e-170, 0.0], delta_stop=1e-173),
+    ],
+)
+def test_lengths_out_of_range_exit_2_before_any_work(case, tmp_path, capsys):
+    outputs = [tmp_path / name for name in ("out.csv", "report.json")]
+    if isinstance(case, dict):
+        argv = ["run", "--config", write_config(tmp_path, case), "--out", str(outputs[0])]
+        argv += ["--report", str(outputs[1])]
+    else:
+        argv = case + ["--dump", str(outputs[0])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2^-500" in err and "2^500" in err
+    assert not any(path.exists() for path in outputs)
+
+
+def test_lengths_at_the_ends_of_the_range_pass_their_audits(tmp_path, capsys):
+    lo, hi = 2.0**-500, 2.0**500
+    for r, eps in ((hi, hi / 4.0), (4.0 * lo, lo)):
+        argv = ["net", "--d", "2", "--r", repr(r), "--eps", repr(eps), "--check"]
+        assert main(argv) == 0, argv
+    for doc in (_range_config([lo, 0.0], lo * 1e-3), _range_config([hi / 2.0, 0.0], hi * 1e-3)):
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == 0, doc
+        assert "reached=True" in capsys.readouterr().out
+
+
 def test_svg_with_d_other_than_2_exits_2_before_any_work(tmp_path, capsys):
     # These once wrote the CSV and report (or ran the whole adversarial
     # search) and then died with a ValueError traceback from render_svg.

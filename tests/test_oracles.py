@@ -13,7 +13,6 @@ from predsearch import (
     OracleSpec,
     Point,
     PredictionOracle,
-    QueryHistory,
     check_prediction_bounds,
     distance,
     infer_lipschitz,
@@ -25,6 +24,7 @@ from predsearch import (
     sample_in_ball,
     validate_oracle,
 )
+from predsearch.nets import dists_to
 from predsearch.verification import build_adversarial_instance
 
 
@@ -120,7 +120,9 @@ def test_query_log_and_memo():
     v2 = oracle.query(p)
     assert v1 == v2
     assert oracle.query_count == 2
-    assert oracle.query_log[0] == (p, v1)
+    rows, values = oracle.query_arrays()
+    assert rows.tolist() == [list(p.coords)] * 2 and values.tolist() == [v1, v2]
+    assert oracle.memo == {p.coords: v1}
 
 
 def test_query_dimension_mismatch():
@@ -174,32 +176,28 @@ def test_piecewise_indistinguishable_outside_balls():
 
 
 def test_infer_lipschitz_example():
-    history = QueryHistory([point(0.0)], [1.0])
-    assert infer_lipschitz(history, point(2.0)) == 3.0
+    assert infer_lipschitz(np.array([[0.0]]), np.array([1.0]), point(2.0)) == 3.0
 
 
 def test_infer_lipschitz_self_term():
-    history = QueryHistory([point(1.0, 0.0)], [0.7])
-    assert infer_lipschitz(history, point(1.0, 0.0)) <= 0.7
+    assert infer_lipschitz(np.array([[1.0, 0.0]]), np.array([0.7]), point(1.0, 0.0)) <= 0.7
 
 
 def test_infer_lipschitz_empty():
     with pytest.raises(ValueError):
-        infer_lipschitz(QueryHistory(), point(0.0))
+        infer_lipschitz(np.empty((0, 1)), np.empty(0), point(0.0))
 
 
 def test_inferred_function_is_one_lipschitz():
     rng = np.random.default_rng(33)
     t = point(0.4, -0.3)
     oracle = make_oracle("seeded_noise", t, c=8.0, seed=5)
-    history = QueryHistory()
-    for row in rng.normal(size=(50, 2)):
-        p = Point(tuple(row))
-        history.add(p, oracle.query(p))
+    oracle.query_rows(rng.normal(size=(50, 2)), -math.inf, 50)
+    rows, values = oracle.query_arrays()
     for _ in range(1000):
         p = Point(tuple(rng.normal(size=2) * 2))
         q = Point(tuple(rng.normal(size=2) * 2))
-        gap = abs(infer_lipschitz(history, p) - infer_lipschitz(history, q))
+        gap = abs(infer_lipschitz(rows, values, p) - infer_lipschitz(rows, values, q))
         assert gap <= distance(p, q) + 1e-12
 
 
@@ -207,28 +205,113 @@ def test_refined_query_cases():
     t = point(0.0, 0.0)
     oracle = make_oracle("seeded_noise", t, c=8.0, seed=2)
     p = point(1.0, 1.0)
-    history = QueryHistory([p], [oracle.query(p)])
-    assert refined_query(oracle, history, p) == min(
-        oracle.query(p), infer_lipschitz(history, p)
-    )
-    # A recorded point very close to the target caps faraway predictions.
+    # With an empty log the refined answer is the direct one.
+    assert refined_query(oracle, p) == oracle.query(p)
+    rows, values = oracle.query_arrays()
+    assert refined_query(oracle, p) == min(oracle.query(p), infer_lipschitz(rows, values, p))
+    # A logged point very close to the target caps faraway predictions.
     near = point(1e-6, 0.0)
-    history.add(near, oracle.query(near))
+    near_value = oracle.query(near)
     far = point(2.0, 0.0)
-    assert refined_query(oracle, history, far) <= distance(far, near) + oracle.query(near)
-    assert refined_query(oracle, history, t) == 0.0
+    assert refined_query(oracle, far) <= distance(far, near) + near_value
+    assert refined_query(oracle, t) == 0.0
 
 
 def test_refined_query_still_valid_prediction():
     t = point(0.2, 0.6)
     oracle = make_oracle("seeded_noise", t, c=8.0, seed=11)
     rng = np.random.default_rng(12)
-    history = QueryHistory()
-    for row in rng.normal(size=(50, 2)):
-        p = Point(tuple(row))
-        history.add(p, oracle.query(p))
-    refined = lambda rows: [refined_query(oracle, history, Point(r)) for r in rows.tolist()]
+    oracle.query_rows(rng.normal(size=(50, 2)), -math.inf, 50)
+    # Each refined query also joins the log the next one infers from.
+    refined = lambda rows: [refined_query(oracle, Point(r)) for r in rows.tolist()]
     assert check_prediction_bounds(refined, t, 1.0, 8.0, probes=1000, radius=3.0, seed=13)
+
+
+_bounded_specs = st.sampled_from(ORACLE_KINDS).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {
+            "kind": st.just(kind),
+            "d": st.integers(1, 3),
+            # exact claims its own factor, so its bounds are tight.
+            "c_hi": st.just(1.0) if kind == "exact" else st.floats(
+                2.01 if kind == "piecewise_lower_bound" else 1.0, 64.0
+            ),
+            "c_lo": st.just(1.0) if kind == "exact" else st.floats(0.01, 1.0),
+            "alpha_q": st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            "seed": st.integers(-(2**63), 2**63 - 1),
+            "target_q": st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        }
+    )
+)
+
+
+def _bounded_oracle(params):
+    """An oracle of any kind; a piecewise target is scaled into the family's
+    ball |o t| <= 1/2 - 1/c_hi (the unscaled one has |o t| <= sqrt(3) < 2)."""
+    d, c_hi, c_lo = params["d"], params["c_hi"], params["c_lo"]
+    target = np.array(params["target_q"][:d])
+    if params["kind"] == "piecewise_lower_bound":
+        target *= (0.5 - 1.0 / c_hi) / 2.0
+    alpha = c_lo + (c_hi - c_lo) * params["alpha_q"]
+    return PredictionOracle(
+        OracleSpec(
+            kind=params["kind"], target=Point(tuple(target.tolist())), c_hi=c_hi, c_lo=c_lo,
+            seed=params["seed"], alpha=min(max(alpha, c_lo), c_hi),
+        )
+    )
+
+
+def _query_rows_near(draw, oracle, n_min, n_max):
+    """``n_min`` to ``n_max`` rows: scattered, near the target, or on it."""
+    d, target = oracle.dimension, np.array(oracle.spec.target.coords)
+    rows = []
+    for _ in range(draw(st.integers(n_min, n_max))):
+        how = draw(st.sampled_from(["free", "near", "target"]))
+        if how == "target":
+            rows.append(target)
+            continue
+        offset = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
+        rows.append(target + offset / (oracle.spec.c_hi if how == "near" else 1.0))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), d)
+
+
+@settings(deadline=None, max_examples=200)
+@given(params=_bounded_specs, data=st.data())
+def test_query_rows_lie_within_the_factor_bounds(params, data):
+    # Validity, c_lo*|pt| <= lambda(p) <= c_hi*|pt|, over every kind, with
+    # the relative slack of check_prediction_bounds for the rounding of the
+    # factor and of the piecewise cases; a row on the target answers 0.
+    oracle = _bounded_oracle(params)
+    rows = _query_rows_near(data.draw, oracle, 0, 40)
+    values = oracle.query_rows(rows, -math.inf, len(rows))
+    spec = oracle.spec
+    dist = dists_to(rows, spec.target.coords)
+    assert len(values) == len(rows)
+    assert (spec.c_lo * dist * (1.0 - 1e-9) <= values).all()
+    assert (values <= spec.c_hi * dist * (1.0 + 1e-9)).all()
+
+
+@settings(deadline=None, max_examples=200)
+@given(params=_bounded_specs, data=st.data())
+def test_refined_query_tightens_the_direct_answer_by_the_log_before_it(params, data):
+    oracle = _bounded_oracle(params)
+    spec = oracle.spec
+    rows = _query_rows_near(data.draw, oracle, 0, 30)
+    oracle.query_rows(rows, -math.inf, len(rows))
+    p = Point(tuple(_query_rows_near(data.draw, oracle, 1, 1)[0].tolist()))
+    before_rows, before_values = oracle.query_arrays()
+    refined = refined_query(oracle, p)
+    direct = oracle.query_arrays()[1][-1]
+    assert oracle.query_count == len(before_values) + 1
+    # Every logged value is at least c_lo times its distance, so by the
+    # triangle inequality the refined answer is at least c_lo * |pt|.
+    assert refined >= spec.c_lo * distance(p, spec.target) * (1.0 - 1e-9)
+    assert refined <= direct
+    # infer_lipschitz agrees bit for bit with a per-row scalar reference.
+    inferred = [distance(p, Point(r)) + v for r, v in zip(before_rows.tolist(), before_values)]
+    assert refined == min([direct] + inferred)
+    if len(before_values):
+        assert refined == min(direct, infer_lipschitz(before_rows, before_values, p))
 
 
 # --- Batched queries against the scalar formulas ----------------------------
@@ -251,6 +334,12 @@ def _reference_value(spec, p):
     h.update(struct.pack(f"<{len(p.coords)}d", *(x + 0.0 for x in p.coords)))
     u = int.from_bytes(h.digest(), "little") / 2.0**64
     return (spec.c_lo + (spec.c_hi - spec.c_lo) * u) * dist
+
+
+def _log_pairs(oracle):
+    """The oracle's log as (coordinates, value) pairs."""
+    rows, values = oracle.query_arrays()
+    return list(zip(map(tuple, rows.tolist()), values.tolist()))
 
 
 def _reference_rows(spec, rows, stop, limit):
@@ -299,7 +388,7 @@ def test_query_rows_matches_scalar_reference(kind, rows, stop_q, limit, seed):
     got = oracle.query_rows(rows, stop, limit)
     assert repr(got.tolist()) == repr(values)
     assert repr(list(oracle.memo.items())) == repr(list(memo.items()))
-    assert repr([(p.coords, v) for p, v in oracle.query_log]) == repr(log)
+    assert repr(_log_pairs(oracle)) == repr(log)
     assert oracle.query_count == len(log)
     # Single queries go through the scalar path and agree with the rows.
     single = PredictionOracle(spec)
@@ -445,11 +534,11 @@ def test_pure_oracles_log_what_a_memoising_recorder_logs(case):
             got = [oracle.query(Point(row.tolist())) for row in rows]
             want = [reference.query(Point(row.tolist())) for row in rows]
         assert repr(got) == repr(want)
-    assert repr([(p.coords, v) for p, v in oracle.query_log]) == repr(reference.log)
+    assert repr(_log_pairs(oracle)) == repr(reference.log)
     assert oracle.query_count == len(reference.log)
     memo = oracle.memo
     assert repr(list(memo.items())) == repr(list(reference.memo.items()))
-    assert all(repr(memo[p.coords]) == repr(v) for p, v in oracle.query_log)
+    assert all(repr(memo[key]) == repr(v) for key, v in _log_pairs(oracle))
 
 
 @pytest.mark.parametrize("kind", ORACLE_KINDS + ("adversary",))

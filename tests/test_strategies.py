@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from predsearch import (
@@ -15,6 +15,7 @@ from predsearch import (
     PredictionOracle,
     QueryBudgetExceeded,
     StrategyConfig,
+    audit_trace,
     distance,
     origin,
     one_step,
@@ -325,6 +326,49 @@ def test_search_scales_exactly_by_powers_of_two(kind, strategy, c, coords, k):
     assert scaled_queries == base_queries
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    kind=st.sampled_from(["exact", "affine", "midpoint_open", "seeded_noise"]),
+    strategy=st.sampled_from(["known_c", "unknown_c"]),
+    c=st.sampled_from([1.5, 2.0, 3.0]),
+    coords=st.integers(1, 3).flatmap(
+        lambda d: st.lists(_scaled_coordinate, min_size=d, max_size=d)
+    ),
+    log_scale=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**31),
+)
+def test_search_passes_its_audit_at_any_scale(kind, strategy, c, coords, log_scale, seed):
+    # Away from powers of two the scaled target rounds differently, so the
+    # trace is not the base trace scaled; the audit must still pass.
+    scale = 10.0**log_scale
+    assume(scale != 2.0 ** round(math.log2(scale)))
+    target = Point(tuple(x * scale for x in coords))
+    oracle = make_oracle(kind, target, c=1.0 if kind == "exact" else c, seed=seed)
+    config = StrategyConfig(
+        kind=strategy, c_guess=c if strategy == "known_c" else 1.0, delta_stop=1e-3 * scale
+    )
+    trace = run_strategy(oracle, config)
+    report = audit_trace(trace, target, config, oracle)
+    assert report.reached and report.violations == ()
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    d=st.integers(1, 4),
+    data=st.data(),
+)
+def test_trilaterate_recovers_the_target_from_a_well_conditioned_simplex(d, data):
+    row = st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d)
+    corners = np.array(data.draw(st.lists(row, min_size=d + 1, max_size=d + 1)))
+    target = np.array(data.draw(row))
+    offsets = corners[1:] - corners[0]
+    # Well conditioned: neither flat (condition number below 100) nor tiny.
+    assume(np.linalg.cond(offsets) < 100.0 and np.abs(offsets).max() > 0.1)
+    distances = dists_to(corners, target).tolist()
+    recovered = trilaterate([(Point(tuple(p)), r) for p, r in zip(corners.tolist(), distances)], d)
+    assert distance(recovered, Point(tuple(target.tolist()))) < 1e-9
+
+
 @pytest.mark.parametrize(
     "d,c,trials",
     [(1, 2.0, 50), (1, 4.0, 50), (1, 8.0, 50), (2, 2.0, 50), (2, 4.0, 50), (2, 8.0, 20), (3, 2.0, 25), (3, 4.0, 10)],
@@ -393,6 +437,12 @@ def _bits(pairs):
     return repr([(tuple(k.coords) if isinstance(k, Point) else k, v) for k, v in pairs])
 
 
+def _log_bits(oracle):
+    """The oracle's query log, every float bit included."""
+    rows, values = oracle.query_arrays()
+    return repr((rows.tolist(), values.tolist()))
+
+
 _ADVERSARY_TARGETS = ((0.05, 0.1, -0.1), (-0.2, 0.0, 0.05), (0.1, -0.15, 0.0))
 
 
@@ -436,7 +486,7 @@ def test_one_step_matches_per_point_reference(kind, base, lam, c_guess, seed):
         if variant == "advanced":
             assert outcome.next_point == queries[-1][0]
             assert outcome.next_value == queries[-1][1]
-    assert _bits(new_oracle.query_log) == _bits(ref_oracle.query_log)
+    assert _log_bits(new_oracle) == _log_bits(ref_oracle)
     assert _bits(new_oracle.memo.items()) == _bits(ref_oracle.memo.items())
     assert new_oracle.query_count == ref_oracle.query_count
 
@@ -458,8 +508,8 @@ def test_query_limit_mid_step_logs_exactly_the_limit(kind, spare):
     with pytest.raises(QueryBudgetExceeded):
         one_step(p0, 1.0, 1.0, new_oracle, query_limit=limit)
     assert new_oracle.query_count == limit
-    assert len(new_oracle.query_log) == limit
-    assert _bits(new_oracle.query_log) == _bits(ref_oracle.query_log)
+    assert len(new_oracle.query_arrays()[1]) == limit
+    assert _log_bits(new_oracle) == _log_bits(ref_oracle)
     assert _bits(new_oracle.memo.items()) == _bits(ref_oracle.memo.items())
 
 
@@ -524,7 +574,7 @@ def test_query_rows_sends_every_row_through_an_overridden_query(how, monkeypatch
     outcome = one_step(p0, lam, 2.0, oracle)
     assert heard == [p0.coords] + [tuple(r) for r in outcome.rows.tolist()]
     assert outcome.variant == expected.variant
-    assert _bits(oracle.query_log) == _bits(plain.query_log)
+    assert _log_bits(oracle) == _log_bits(plain)
     assert _bits(oracle.memo.items()) == _bits(plain.memo.items())
 
 

@@ -363,7 +363,8 @@ def test_adversary_batches_match_the_per_row_route_and_the_scalar_adversary(case
             assert instance.live == scalar.live
     for instance in (batched, per_row):
         assert repr(list(instance.memo.items())) == repr(list(scalar.memo.items()))
-        assert repr([(p.coords, v) for p, v in instance.query_log]) == repr(scalar.log)
+        rows, values = instance.query_arrays()
+        assert repr(list(zip(map(tuple, rows.tolist()), values.tolist()))) == repr(scalar.log)
 
 
 def test_wrapped_adversary_query_hears_every_row(monkeypatch):
@@ -380,7 +381,7 @@ def test_wrapped_adversary_query_hears_every_row(monkeypatch):
     rows = np.array([[0.3, 0.1], [-0.2, 0.0], [0.3, 0.1], [0.6, 0.6]])
     values = instance.query_rows(rows, -1.0, 4)
     assert heard == [tuple(r) for r in rows.tolist()]
-    assert values.tolist() == [v for _, v in instance.query_log]
+    assert values.tolist() == instance.query_arrays()[1].tolist()
 
 
 def test_adversary_answers_a_long_walk_in_bounded_chunks(monkeypatch):
