@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from hashlib import blake2b
 from pathlib import Path
 
@@ -295,8 +297,10 @@ def cmd_sweep(args) -> int:
             for kind in ("known_c", "unknown_c"):
                 ratios = [float(r["ratio"]) for r in cell if r["strategy"] == kind]
                 bound = next(r["bound"] for r in cell if r["strategy"] == kind)
+                # Summed left to right: the built-in sum compensates from
+                # Python 3.12 on, which changes the mean's last digit.
                 for stat, value in (
-                    ("mean", sum(ratios) / len(ratios)),
+                    ("mean", reduce(operator.add, ratios, 0.0) / len(ratios)),
                     ("max", max(ratios)),
                 ):
                     rows.append(

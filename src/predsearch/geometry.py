@@ -19,6 +19,7 @@ __all__ = [
     "origin",
     "distance",
     "contains",
+    "edge_lengths",
     "cumulative_lengths",
     "path_length",
 ]
@@ -98,20 +99,26 @@ def contains(ball: Ball, p: Point) -> bool:
     return distance(ball.center, p) <= ball.radius
 
 
-def cumulative_lengths(rows: np.ndarray) -> np.ndarray:
-    """Arc length at every vertex of the polyline through the rows of an
-    (n, d) array, starting with 0 at the first vertex.
-
-    Each segment accumulates its squared coordinate differences in order, as
-    :func:`distance` does, and the segments are summed left to right by
-    ``np.cumsum``, so every entry equals the running total of a scalar loop
-    over :func:`distance` bit for bit.
-    """
+def edge_lengths(rows: np.ndarray) -> np.ndarray:
+    """Length of every edge of the polyline through the rows of an (n, d)
+    array, each equal to :func:`distance` between its ends bit for bit: the
+    squared coordinate differences accumulate in order, as there."""
     acc = np.zeros(max(len(rows) - 1, 0), dtype=np.float64)
     for k in range(rows.shape[1]):
         diff = rows[:-1, k] - rows[1:, k]
         acc += diff * diff
-    return np.cumsum(np.concatenate(([0.0], np.sqrt(acc))))
+    return np.sqrt(acc)
+
+
+def cumulative_lengths(rows: np.ndarray) -> np.ndarray:
+    """Arc length at every vertex of the polyline through the rows of an
+    (n, d) array, starting with 0 at the first vertex.
+
+    The :func:`edge_lengths` are summed left to right by ``np.cumsum``, so
+    every entry equals the running total of a scalar loop over
+    :func:`distance` bit for bit.
+    """
+    return np.cumsum(np.concatenate(([0.0], edge_lengths(rows))))
 
 
 def path_length(rows: np.ndarray) -> float:

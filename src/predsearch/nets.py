@@ -131,6 +131,16 @@ def dists_to(arr: np.ndarray, coords) -> np.ndarray:
     return np.sqrt(acc)
 
 
+def _count_text(count: int) -> str:
+    """A count in decimal up to 15 digits, else as ~d.dde+N from its base-10
+    logarithm: the cube-cell count can run to millions of digits, too many
+    to print or divide quickly, and ``float(count)`` overflows above 1.8e308."""
+    if count < 10**15:
+        return str(count)
+    exp, frac = divmod(math.log10(count), 1.0)
+    return f"~{math.floor(10.0 ** (frac + 2.0)) / 100.0:.2f}e+{int(exp)}"
+
+
 def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int, center):
     """Greedy maximal separated subset, in lexicographic order, of the lattice
     ``spacing * Z^d`` in the closed ball of ``radius``, shifted by ``center``
@@ -166,7 +176,7 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
     total = per_axis**dimension
     if total > CANDIDATE_CAP:
         raise CandidateCapExceeded(
-            f"{total} lattice candidates exceed the cap of {CANDIDATE_CAP} "
+            f"{_count_text(total)} lattice candidates exceed the cap of {CANDIDATE_CAP} "
             f"(d={dimension}, radius/spacing={radius / spacing:.3g})"
         )
     axis = np.arange(-k_max, k_max + 1, dtype=np.float64) * spacing

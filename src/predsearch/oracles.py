@@ -14,6 +14,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import islice
 
 import numpy as np
 
@@ -45,7 +46,7 @@ class OracleSpec:
       affine                 lambda(p) = alpha * |pt|
       midpoint_open          lambda(p) = (1 + c_hi)/2 * |pt|
       seeded_noise           lambda(p) = u(p) * |pt|, u(p) a deterministic
-                             pseudo-random factor in [c_lo, c_hi)
+                             pseudo-random factor in [c_lo, c_hi]
       piecewise_lower_bound  the piecewise family used by the adversarial
                              construction (requires c_hi > 2 and
                              |o t| <= 1/2 - 1/c_hi)
@@ -127,15 +128,13 @@ class QueryRecorder:
     contraction step: it queries the rows of an (n, d) array in order, stops
     after the first value ``<= stop`` or after ``limit`` rows, and returns
     the values queried. It rejects a batch with a non-finite row before
-    logging anything. The rows go to ``_answer_chunk`` in chunks of 16, 32,
-    64, ... up to ``_LAST_CHUNK`` rows, and a single ``query`` is a one-row
-    chunk.
+    logging anything. The rows go to ``_answer_chunk`` in chunks of
+    ``_CHUNK`` rows, and a single ``query`` is a one-row chunk.
     """
 
-    _FIRST_CHUNK = 16
     # A chunk's answers may measure every row against every candidate
-    # target, so the doubling stops here to bound that working memory.
-    _LAST_CHUNK = 1 << 10
+    # target, so a chunk has at most this many rows to bound that memory.
+    _CHUNK = 1 << 10
 
     def __init__(self, dimension: int, c_factor: float):
         self.dimension = dimension
@@ -194,25 +193,22 @@ class QueryRecorder:
                 if self.query(Point(row.tolist())) <= stop:
                     break
             return
-        start, size = 0, self._FIRST_CHUNK
-        # Doubling chunks: a walk often stops early, and the rows evaluated
-        # past the stopping row outnumber those before it by at most the
-        # first chunk.
-        while start < len(rows):
-            chunk = rows[start : start + size]
-            if self._answer_chunk(chunk, stop):
+        for start in range(0, len(rows), self._CHUNK):
+            if self._answer_chunk(rows[start : start + self._CHUNK], stop):
                 break
-            start += len(chunk)
-            size = min(2 * size, self._LAST_CHUNK)
 
     def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
         """Answer the rows of a nonempty C-contiguous float64 array in order
         until a value ``<= stop``, and log copies of the rows and values
-        answered, so that no larger array stays alive; True if one was."""
+        answered, so that no larger array stays alive; True if one was.
+        Raises, logging nothing, if ``_answer`` leaves rows out without a
+        stop, as the next chunk would silently skip them."""
         values = self._answer(rows, stop)
         stops = np.flatnonzero(values <= stop)
         if len(stops):
             values = values[: stops[0] + 1]
+        elif len(values) != len(rows):
+            raise RuntimeError(f"{len(values)} values for {len(rows)} rows and no stop")
         self._row_chunks.append(rows[: len(values)].copy())
         self._value_chunks.append(values.copy())
         self.query_count += len(values)
@@ -229,11 +225,11 @@ class PredictionOracle(QueryRecorder):
     """Queryable prediction source; owns the hidden target.
 
     Every kind is a pure function of the point, so a revisit gets the
-    identical value without a memo, and ``_answer`` evaluates a whole chunk.
-    Every kind but the piecewise one scales the ``dists_to`` distance by a
-    factor: fixed at construction, or the seeded noise's, which hashes each
-    row's little-endian float64 bytes after adding 0.0, so that -0.0 and
-    0.0 get the same draw.
+    identical value without a memo, and ``_answer`` evaluates a chunk at
+    once. Every kind but the piecewise one scales the ``dists_to`` distance
+    by a factor: fixed at construction, or the seeded noise's, which hashes
+    each row's little-endian float64 bytes after adding 0.0, so that -0.0
+    and 0.0 get the same draw, and hashes no row past the stop.
     """
 
     query = QueryRecorder.query
@@ -250,22 +246,41 @@ class PredictionOracle(QueryRecorder):
         spec = self.spec
         if spec.kind == "piecewise_lower_bound":
             return piecewise_predictions(spec.target, spec.c_hi, rows)
-        factor = self._factor
-        if factor is None:
-            factor = spec.c_lo + (spec.c_hi - spec.c_lo) * self._noise_draws(rows)
-        return factor * dists_to(rows, spec.target.coords)
+        dist = dists_to(rows, spec.target.coords)
+        if self._factor is not None:
+            return self._factor * dist
+        # The noise hashes rows only up to the first value <= stop. A factor
+        # c_lo + span * u is >= c_lo, as rounding is monotone, so only a row
+        # with c_lo * |pt| <= stop can stop; there the Python-float value is
+        # the numpy one bit for bit (int / float rounds u as numpy does).
+        lo, span = spec.c_lo, spec.c_hi - spec.c_lo
+        digests: list[bytes] = []
+        pending = self._digests(rows)
+        for k in np.flatnonzero(lo * dist <= stop).tolist():
+            digests += islice(pending, k + 1 - len(digests))
+            u_k = int.from_bytes(digests[-1], "little") / 2.0**64
+            if (lo + span * u_k) * dist.item(k) <= stop:
+                break
+        else:
+            digests += pending
+        u = np.frombuffer(b"".join(digests), dtype="<u8") / 2.0**64
+        return (lo + span * u) * dist[: len(u)]
 
     def _noise_draws(self, rows: np.ndarray) -> np.ndarray:
-        """The seeded noise's draw u in [0, 1) at each row: the keyed hash of
-        the row's little-endian float64 bytes, with -0.0 read as 0.0."""
+        """The seeded noise's draw u at each row: a digest over 2^64 in
+        [0, 1], as one of at least 2^64 - 2^10 rounds to 1.0."""
+        return np.frombuffer(b"".join(self._digests(rows)), dtype="<u8") / 2.0**64
+
+    def _digests(self, rows: np.ndarray):
+        """The keyed hash of each row's little-endian float64 bytes, with
+        -0.0 read as 0.0, in row order and computed as consumed."""
         raw = (rows + 0.0).astype("<f8", copy=False).tobytes()
         width = 8 * rows.shape[1]
-        digests = []
+        fresh = self._noise_hash.copy
         for at in range(0, len(raw), width):
-            h = self._noise_hash.copy()
+            h = fresh()
             h.update(raw[at : at + width])
-            digests.append(h.digest())
-        return np.frombuffer(b"".join(digests), dtype="<u8") / 2.0**64
+            yield h.digest()
 
 
 def check_prediction_bounds(

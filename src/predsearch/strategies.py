@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Point, origin, path_length
+from .geometry import Ball, Point, edge_lengths, origin, path_length
 from .nets import build_net, dists_to, visit_order
 
 __all__ = [
@@ -223,11 +223,16 @@ def one_step(
 
 
 class _TraceBuilder:
+    """A search's vertex rows, values and phase labels, and its steps,
+    assembled into a :class:`SearchTrace` once, in ``freeze``."""
+
     def __init__(self, start: Point, start_value: float, label: tuple[int, int]):
         self.rows: list[np.ndarray] = []
         self.lambdas: list[np.ndarray] = []
-        self.labels: list[np.ndarray] = []
-        self.steps: list[StepRecord] = []
+        self.labels: list[tuple[int, int]] = []
+        self.counts: list[int] = []
+        self.size = 0
+        self.steps: list[tuple[int, int, tuple]] = []
         self.extend([start.coords], [start_value], label)
 
     def extend(self, rows, values, label):
@@ -235,18 +240,33 @@ class _TraceBuilder:
         tuples) with their prediction values under one phase label."""
         self.rows.append(np.asarray(rows, dtype=np.float64))
         self.lambdas.append(np.asarray(values, dtype=np.float64))
-        self.labels.append(np.broadcast_to(label, (len(values), 2)))
+        self.labels.append(label)
+        self.counts.append(len(values))
+        self.size += len(values)
+
+    def step(self, base: int, *fields):
+        """Record a step whose segment runs from vertex ``base`` to the
+        last vertex so far, with the StepRecord fields other than
+        ``segment_length``, in order."""
+        self.steps.append((base, self.size - 1, fields))
 
     def freeze(self, reached: bool, doublings: int | None) -> SearchTrace:
         rows = np.concatenate(self.rows)
+        # A step's segment is a run of the trace's own edges. np.cumsum adds
+        # them left to right, as path_length does over the segment's rows.
+        edges = edge_lengths(rows)
+        steps = []
+        for base, last, (j, i, guess, lam, lam_end, queries, advanced) in self.steps:
+            length = float(np.cumsum(edges[base:last])[-1])
+            steps.append(StepRecord(j, i, guess, lam, lam_end, length, queries, advanced))
         return SearchTrace(
             rows=rows,
             lambda_values=np.concatenate(self.lambdas),
-            phase_labels=np.concatenate(self.labels),
+            phase_labels=np.repeat(np.array(self.labels, dtype=np.int64), self.counts, axis=0),
             total_length=path_length(rows),
             reached=reached,
             doublings=doublings,
-            steps=tuple(self.steps),
+            steps=tuple(steps),
         )
 
 
@@ -271,26 +291,25 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
             break
         guess = float(2**j) if doubling else config.c_guess
         outcome = one_step(p, lam, guess, oracle, query_limit=config.max_queries)
-        seg_length = path_length(outcome.segment_rows)
+        base = builder.size - 1
         values = outcome.values
         if outcome.variant == "advanced":
             builder.extend(outcome.rows[:-1], values[:-1], (j, i))
             builder.extend(outcome.rows[-1:], values[-1:], (j, i + 1))
-            builder.steps.append(
-                StepRecord(j, i + 1, guess, lam, outcome.next_value, seg_length, len(values), True)
-            )
+            builder.step(base, j, i + 1, guess, lam, outcome.next_value, len(values), True)
             p, lam = outcome.next_point, outcome.next_value
             i += 1
         else:
-            builder.extend(outcome.rows, values, (j, i))
-            builder.steps.append(StepRecord(j, i, guess, lam, lam, seg_length, len(values), False))
             if not doubling:
                 raise GuessTooSmallError(
                     f"guess c={config.c_guess} exhausted a net without halving: "
                     f"the oracle's true factor exceeds it"
                 )
+            builder.extend(outcome.rows, values, (j, i))
+            # The walk returns to p, which opens the next guess's phase.
+            builder.extend([p.coords], [lam], (j + 1, i))
+            builder.step(base, j, i, guess, lam, lam, len(values), False)
             j += 1
-            builder.extend([p.coords], [lam], (j, i))
     return builder.freeze(reached, j if doubling else None)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -194,6 +195,56 @@ def test_sweep_rejects_bad_c(tmp_path):
         main(["sweep", "--d", "1", "--c", "0.5", "--trials", "1", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         == 2
     )
+
+
+def test_sweep_mean_is_summed_left_to_right(tmp_path):
+    # Python 3.12's built-in sum compensates, and wrote 6.98744078459 here.
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--d", "1", "--c", "8", "--trials", "40", "--seed", "23"]
+    assert main(argv + ["--out", str(out)]) == 0
+    means = {
+        r["strategy"]: r["ratio"]
+        for r in csv.DictReader(out.open()) if r["row_type"] == "summary_mean"
+    }
+    assert means["known_c"] == "6.9874407846"
+
+
+def test_sweep_hashes_exactly_the_rows_it_logs(tmp_path, monkeypatch):
+    # Whole chunks hashed past each step's stop once cost 420,434 hashes
+    # for the 300,900 queries of the benchmark sweep.
+    hashed = []
+    digests = PredictionOracle._digests
+
+    def counted(self, rows):
+        for digest in digests(self, rows):
+            hashed.append(digest)
+            yield digest
+
+    monkeypatch.setattr(PredictionOracle, "_digests", counted)
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--d", "2", "--c", "4", "--trials", "2", "--seed", "0"]
+    assert main(argv + ["--out", str(out)]) == 0
+    queries = [int(r["queries"]) for r in csv.DictReader(out.open()) if r["row_type"] == "trial"]
+    assert len(hashed) == sum(queries) > 0
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        # The exact cube-cell count, 603 digits, once made a 688-byte line.
+        (["sweep", "--d", "2", "--c", "1e300", "--trials", "1", "--seed", "0"], "~2.88e+602"),
+        # 8,453 digits, past Python's int-to-str limit: once a traceback.
+        (["net", "--d", "3000", "--eps", "0.5"], "~4.96e+8452"),
+    ],
+)
+def test_past_the_cap_exits_2_with_a_short_message(argv, count, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    flag = "--out" if argv[0] == "sweep" else "--dump"
+    assert main(argv + [flag, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {count} lattice candidates exceed the cap")
+    assert len(err.encode()) < 200
+    assert not out.exists()
 
 
 def test_lowerbound_small_instance(tmp_path):

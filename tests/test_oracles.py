@@ -13,6 +13,7 @@ from predsearch import (
     OracleSpec,
     Point,
     PredictionOracle,
+    QueryRecorder,
     check_prediction_bounds,
     distance,
     infer_lipschitz,
@@ -408,6 +409,20 @@ def test_query_rows_stops_after_first_value_at_or_below_stop():
         oracle.query_rows(np.zeros((2, 2)), 0.0, 2)
 
 
+def test_a_short_answer_without_a_stop_raises_and_logs_nothing():
+    # The next chunk would start past the rows left out and skip them.
+    class Short(QueryRecorder):
+        def _answer(self, rows, stop):
+            return np.full(len(rows) - 1, 5.0)
+
+    recorder = Short(1, 1.0)
+    with pytest.raises(RuntimeError, match="2 values for 3 rows"):
+        recorder.query_rows(np.zeros((3, 1)), 1.0, 3)
+    assert recorder.query_count == 0 and len(recorder.query_arrays()[1]) == 0
+    # A short answer that ends at its stop is the protocol.
+    assert recorder.query_rows(np.zeros((3, 1)), 5.0, 3).tolist() == [5.0]
+
+
 def test_noise_draw_conversion_matches_python_division():
     # The batched noise turns uint64 digests into floats with numpy; the
     # scalar formula divides a Python int. Both must round the same way,
@@ -418,6 +433,73 @@ def test_noise_draw_conversion_matches_python_division():
     cases += [int(x) for x in rng.integers(0, 2**64 - 1, size=2000, dtype=np.uint64)]
     got = np.array(cases, dtype=np.uint64) / 2.0**64
     assert got.tolist() == [x / 2.0**64 for x in cases]
+
+
+def _edge_digests():
+    """uint64 digests where float rounding is delicate (ties to even, and
+    those >= 2^63, where a uint64 has bits below a float's), plus random
+    ones of both halves."""
+    cases = [0, 1, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1]
+    cases += [2**64 - 2**10 - 1, 2**64 - 2**10, 2**64 - 1]
+    cases += [(2**52 + k) << s | r for s in (11, 10) for k in (0, 1, 2) for r in (0x3FF, 0x400)]
+    rng = np.random.default_rng(1)
+    cases += [int(x) for x in rng.integers(0, 2**63, size=500, dtype=np.uint64)]
+    cases += [int(x) | 2**63 for x in rng.integers(0, 2**63, size=500, dtype=np.uint64)]
+    return cases
+
+
+@pytest.mark.parametrize("c_lo, c_hi, dist", [(1.0, 2.0, 0.7), (0.25, 8.0, 1.3), (0.3, 1e6, 3e-5)])
+def test_noise_stop_test_agrees_with_the_logged_values(c_lo, c_hi, dist):
+    # The seeded noise decides where to stop from a Python-float value and
+    # logs numpy values; at stop = the numpy value of the first row the walk
+    # must stop there, and one ulp below it must go on to the second row.
+    oracle = make_oracle("seeded_noise", point(0.0, 0.0), c=c_hi, c_lo=c_lo)
+    rows = np.array([[dist, 0.0], [0.0, 0.0]])
+    for digest in _edge_digests():
+        oracle._digests = lambda rows: iter([digest.to_bytes(8, "little"), bytes(8)])
+        u = np.array([digest], dtype=np.uint64) / 2.0**64
+        value = ((c_lo + (c_hi - c_lo) * u) * dist).item()
+        assert len(oracle._answer(rows, value)) == 1, digest
+        assert oracle._answer(rows, math.nextafter(value, -math.inf)).tolist() == [value, 0.0]
+
+
+class _HashEveryRow(PredictionOracle):
+    """The seeded noise hashing every row of each chunk, which the recorder
+    then cuts at the first value <= stop."""
+
+    def _answer(self, rows, stop):
+        spec = self.spec
+        factor = spec.c_lo + (spec.c_hi - spec.c_lo) * self._noise_draws(rows)
+        return factor * dists_to(rows, spec.target.coords)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(0, 2_200),
+    at_target=st.lists(st.integers(0, 2_199), max_size=3),
+    stop=st.one_of(st.sampled_from([-math.inf, 0.0, -0.5]), st.floats(0.0, 4.0)),
+    limit=st.integers(0, 2_300),
+    c_lo=st.floats(0.0, 1.0, exclude_min=True),
+    c_hi=st.one_of(st.floats(1.0, 16.0), st.floats(1.0, 1e300)),
+    seed=st.integers(0, 2**32),
+)
+def test_exact_stop_logs_what_hashing_every_row_logs(d, n, at_target, stop, limit, c_lo, c_hi, seed):
+    target = Point((0.1, -0.2, 0.05)[:d])
+    rows = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, d))
+    rows[[k for k in at_target if k < n]] = target.coords
+    spec = OracleSpec(kind="seeded_noise", target=target, c_hi=c_hi, c_lo=c_lo, seed=seed)
+    oracle, reference = PredictionOracle(spec), _HashEveryRow(spec)
+    hashed = []
+    digests = oracle._digests
+    oracle._digests = lambda rows: (hashed.append(1) or h for h in digests(rows))
+    got, want = oracle.query_rows(rows, stop, limit), reference.query_rows(rows, stop, limit)
+    assert repr(got.tolist()) == repr(want.tolist())
+    got_rows, got_values = oracle.query_arrays()
+    want_rows, want_values = reference.query_arrays()
+    assert np.array_equal(got_rows, want_rows)
+    assert repr(got_values.tolist()) == repr(want_values.tolist())
+    assert oracle.query_count == reference.query_count == len(hashed)
 
 
 @settings(deadline=None)

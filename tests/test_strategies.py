@@ -491,6 +491,37 @@ def test_one_step_matches_per_point_reference(kind, base, lam, c_guess, seed):
     assert new_oracle.query_count == ref_oracle.query_count
 
 
+@pytest.mark.parametrize("kind", ["known_c", "unknown_c"])
+@pytest.mark.parametrize("seed", range(3))
+def test_trace_steps_and_labels_match_a_step_by_step_replay(kind, seed):
+    # The trace is assembled once, at the end; each step's segment_length
+    # must still be the left-to-right sum along its own polyline, and every
+    # vertex must carry the label of the phase it was reached in.
+    target = Point((1.1 * (seed - 1), 0.37))
+    oracle = make_oracle("seeded_noise", target, c=16.0, seed=seed)
+    trace = run_strategy(oracle, StrategyConfig(kind=kind, c_guess=16.0, delta_stop=1e-3))
+    replay = make_oracle("seeded_noise", target, c=16.0, seed=seed)
+    p, lam = origin(2), replay.query(origin(2))
+    j, i = (1 if kind == "unknown_c" else 0), 0
+    labels = [(j, i)]
+    for step in trace.steps:
+        outcome = one_step(p, lam, step.guess, replay)
+        walked = [Point(tuple(r)) for r in outcome.rows.tolist()]
+        n = len(walked)
+        if outcome.variant == "advanced":
+            assert repr(step.segment_length) == repr(_reference_length([p, *walked]))
+            labels += [(j, i)] * (n - 1) + [(j, i + 1)]
+            p, lam, i = outcome.next_point, outcome.next_value, i + 1
+        else:
+            assert repr(step.segment_length) == repr(_reference_length([p, *walked, p]))
+            labels += [(j, i)] * n + [(j + 1, i)]
+            j += 1
+    # At a factor of up to 16, a guess of 2 fails: the doubling is covered.
+    assert any(not s.advanced for s in trace.steps) == (kind == "unknown_c")
+    assert trace.phase_labels.tolist() == [list(label) for label in labels]
+    assert trace.phase_labels.dtype == np.int64
+
+
 @pytest.mark.parametrize("kind", ["piecewise_lower_bound", "adversary"])
 @pytest.mark.parametrize("spare", [0, 1, 2, 5])
 def test_query_limit_mid_step_logs_exactly_the_limit(kind, spare):

@@ -399,7 +399,7 @@ def test_adversary_answers_a_long_walk_in_bounded_chunks(monkeypatch):
     monkeypatch.setattr(instance, "_answer_chunk", recorded)
     values = instance.query_rows(walk, -1.0, len(walk))
     assert len(walk) == 13447 and sum(sizes) == len(walk)
-    assert max(sizes) == AdversarialInstance._LAST_CHUNK
+    assert max(sizes) == AdversarialInstance._CHUNK
     per_row = _PerRowAdversary(24.0, instance.targets)
     assert repr(values.tolist()) == repr(per_row.query_rows(walk, -1.0, len(walk)).tolist())
     assert instance.live == per_row.live
