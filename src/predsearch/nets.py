@@ -131,13 +131,15 @@ def dists_to(arr: np.ndarray, coords) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def _count_text(count: int) -> str:
-    """A count in decimal up to 15 digits, else as ~d.dde+N from its base-10
-    logarithm: the cube-cell count can run to millions of digits, too many
-    to print or divide quickly, and ``float(count)`` overflows above 1.8e308."""
-    if count < 10**15:
-        return str(count)
-    exp, frac = divmod(math.log10(count), 1.0)
+def _count_text(base: int, exponent: int) -> str:
+    """The count ``base**exponent`` in decimal up to 15 digits, else as
+    ~d.dde+N from its base-10 logarithm, ``exponent * log10(base)``: the
+    cube-cell count can run to millions of digits, too many to compute,
+    print or divide quickly, and a float overflows above 1.8e308."""
+    log = exponent * math.log10(base)
+    if log < 16.0 and base**exponent < 10**15:
+        return str(base**exponent)
+    exp, frac = divmod(log, 1.0)
     return f"~{math.floor(10.0 ** (frac + 2.0)) / 100.0:.2f}e+{int(exp)}"
 
 
@@ -173,10 +175,13 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
     """
     k_max = int(math.floor(radius / spacing)) if radius > 0 else 0
     per_axis = 2 * k_max + 1
-    total = per_axis**dimension
-    if total > CANDIDATE_CAP:
+    # Log space first: a count ten times the cap is past it whatever the
+    # rounding, and the exact power can run to millions of digits.
+    too_many = dimension * math.log10(per_axis) > math.log10(10 * CANDIDATE_CAP)
+    if too_many or per_axis**dimension > CANDIDATE_CAP:
+        count = _count_text(per_axis, dimension)
         raise CandidateCapExceeded(
-            f"{_count_text(total)} lattice candidates exceed the cap of {CANDIDATE_CAP} "
+            f"{count} lattice candidates exceed the cap of {CANDIDATE_CAP} "
             f"(d={dimension}, radius/spacing={radius / spacing:.3g})"
         )
     axis = np.arange(-k_max, k_max + 1, dtype=np.float64) * spacing

@@ -14,7 +14,6 @@ import operator
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
-from itertools import islice
 
 import numpy as np
 
@@ -130,6 +129,12 @@ class QueryRecorder:
     the values queried. It rejects a batch with a non-finite row before
     logging anything. The rows go to ``_answer_chunk`` in chunks of
     ``_CHUNK`` rows, and a single ``query`` is a one-row chunk.
+
+    A pure subclass may defer a value that cannot stop a chunk of several
+    rows: it logs NaN there, which no real value is and which never
+    compares ``<= stop``, and computes it on first read with ``_values``.
+    ``_resolve`` fills the NaNs in place, so no public read (``query``,
+    ``query_rows``, ``query_arrays``, ``memo``) returns one.
     """
 
     # A chunk's answers may measure every row against every candidate
@@ -156,12 +161,12 @@ class QueryRecorder:
 
     def query_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Every logged query as an (n, d) array of points and their values.
-        These are the log's own arrays: the chunks are joined into one on
-        read, and later queries go to new chunks."""
+        These are the log's own arrays: the chunks are joined into one and
+        resolved on read, and later queries go to new chunks."""
         if len(self._value_chunks) != 1:
             self._row_chunks = [np.concatenate([np.empty((0, self.dimension)), *self._row_chunks])]
             self._value_chunks = [np.concatenate([np.empty(0), *self._value_chunks])]
-        return self._row_chunks[0], self._value_chunks[0]
+        return self._row_chunks[0], self._resolve(self._row_chunks[0], self._value_chunks[0])
 
     def query(self, p: Point) -> float:
         if p.dimension != self.dimension:
@@ -177,6 +182,16 @@ class QueryRecorder:
     _chunked_query = query
 
     def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
+        first = len(self._value_chunks)
+        self._query_raw(rows, stop, limit)
+        # Resolved in the log, so that a later read computes nothing again.
+        for chunk in zip(self._row_chunks[first:], self._value_chunks[first:]):
+            self._resolve(*chunk)
+        return np.concatenate([np.empty(0), *self._value_chunks[first:]])
+
+    def _query_raw(self, rows: np.ndarray, stop: float, limit: int):
+        """``query_rows`` without resolving: the rows queried, as a float64
+        array, and a copy of their logged values, NaN where deferred."""
         rows = np.ascontiguousarray(rows, dtype="<f8")
         if rows.ndim != 2 or rows.shape[1] != self.dimension:
             raise ValueError(f"query rows of shape {rows.shape} for dimension {self.dimension}")
@@ -184,7 +199,16 @@ class QueryRecorder:
             raise ValueError("non-finite coordinate in the query rows")
         first = len(self._value_chunks)
         self._query_prefix(rows[: max(limit, 0)], stop)
-        return np.concatenate([np.empty(0), *self._value_chunks[first:]])
+        values = np.concatenate([np.empty(0), *self._value_chunks[first:]])
+        return rows[: len(values)], values
+
+    def _resolve(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Fill the deferred (NaN) entries of the values at the rows in
+        place, from ``_values``; returns the values."""
+        deferred = np.isnan(values)
+        if deferred.any():
+            values[deferred] = self._values(rows[deferred])
+        return values
 
     def _query_prefix(self, rows: np.ndarray, stop: float) -> None:
         """Query the rows in order until a value ``<= stop``."""
@@ -217,7 +241,13 @@ class QueryRecorder:
     def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
         """The values of a prefix of the rows, in order, that reaches the
         first value ``<= stop`` if the rows have one; the recorder logs
-        them only up to that value."""
+        them only up to that value. In a chunk of several rows, a value
+        that cannot be ``<= stop`` may be NaN, deferred to ``_values``."""
+        raise NotImplementedError
+
+    def _values(self, rows: np.ndarray) -> np.ndarray:
+        """The value at every row, by the full formula; only a recorder
+        whose answers are a function of the point alone defers them."""
         raise NotImplementedError
 
 
@@ -225,11 +255,14 @@ class PredictionOracle(QueryRecorder):
     """Queryable prediction source; owns the hidden target.
 
     Every kind is a pure function of the point, so a revisit gets the
-    identical value without a memo, and ``_answer`` evaluates a chunk at
+    identical value without a memo, and ``_values`` evaluates a chunk at
     once. Every kind but the piecewise one scales the ``dists_to`` distance
     by a factor: fixed at construction, or the seeded noise's, which hashes
     each row's little-endian float64 bytes after adding 0.0, so that -0.0
-    and 0.0 get the same draw, and hashes no row past the stop.
+    and 0.0 get the same draw. In a chunk of several rows, the seeded noise
+    hashes only the rows that can stop it, up to the first that does, and
+    defers the rest; a one-row chunk, such as a single query, is logged
+    whole whatever its value, so it is evaluated at once.
     """
 
     query = QueryRecorder.query
@@ -242,29 +275,38 @@ class PredictionOracle(QueryRecorder):
         fixed = {"exact": 1.0, "affine": spec.alpha, "midpoint_open": (1.0 + spec.c_hi) / 2.0}
         self._factor = fixed.get(spec.kind)
 
-    def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
+    def _values(self, rows: np.ndarray) -> np.ndarray:
         spec = self.spec
         if spec.kind == "piecewise_lower_bound":
             return piecewise_predictions(spec.target, spec.c_hi, rows)
         dist = dists_to(rows, spec.target.coords)
         if self._factor is not None:
             return self._factor * dist
-        # The noise hashes rows only up to the first value <= stop. A factor
-        # c_lo + span * u is >= c_lo, as rounding is monotone, so only a row
-        # with c_lo * |pt| <= stop can stop; there the Python-float value is
-        # the numpy one bit for bit (int / float rounds u as numpy does).
+        return (spec.c_lo + (spec.c_hi - spec.c_lo) * self._noise_draws(rows)) * dist
+
+    def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
+        spec = self.spec
+        if spec.kind != "seeded_noise" or len(rows) == 1:
+            return self._values(rows)
+        # A factor c_lo + span * u is >= c_lo, as rounding is monotone, so
+        # only a candidate, a row with c_lo * |pt| <= stop, can stop. They are
+        # hashed in order up to the first value <= stop, the Python-float
+        # value being the numpy one bit for bit (int / float rounds u as
+        # numpy does); every other row of the prefix is deferred.
+        dist = dists_to(rows, spec.target.coords)
         lo, span = spec.c_lo, spec.c_hi - spec.c_lo
+        values = np.full(len(rows), math.nan)
+        candidates = np.flatnonzero(lo * dist <= stop)
         digests: list[bytes] = []
-        pending = self._digests(rows)
-        for k in np.flatnonzero(lo * dist <= stop).tolist():
-            digests += islice(pending, k + 1 - len(digests))
-            u_k = int.from_bytes(digests[-1], "little") / 2.0**64
-            if (lo + span * u_k) * dist.item(k) <= stop:
+        for k, digest in zip(candidates.tolist(), self._digests(rows[candidates])):
+            digests.append(digest)
+            if (lo + span * (int.from_bytes(digest, "little") / 2.0**64)) * dist.item(k) <= stop:
+                values = values[: k + 1]
                 break
-        else:
-            digests += pending
+        hashed = candidates[: len(digests)]
         u = np.frombuffer(b"".join(digests), dtype="<u8") / 2.0**64
-        return (lo + span * u) * dist[: len(u)]
+        values[hashed] = (lo + span * u) * dist[hashed]
+        return values
 
     def _noise_draws(self, rows: np.ndarray) -> np.ndarray:
         """The seeded noise's draw u at each row: a digest over 2^64 in

@@ -19,6 +19,7 @@ import numpy as np
 
 from .geometry import Ball, Point, edge_lengths, origin, path_length
 from .nets import build_net, dists_to, visit_order
+from .oracles import QueryRecorder
 
 __all__ = [
     "STRATEGY_KINDS",
@@ -86,15 +87,22 @@ class StepOutcome:
     starting point. The segment always starts at the step's base point and
     stays inside B(base, lam).
 
-    ``rows`` holds the queried net points in walk order and ``values`` their
-    answers; ``segment_rows`` is the walked polyline. ``next_point`` and
-    ``queries`` are Point views.
+    ``rows`` holds the queried net points in walk order and ``raw_values``
+    their answers as the oracle logged them, NaN where it deferred a value;
+    ``values`` resolves them against the oracle on first read. The stopping
+    value is never deferred. ``segment_rows`` is the walked polyline.
+    ``next_point`` and ``queries`` are Point views.
     """
 
     variant: str
     base: np.ndarray
     rows: np.ndarray
-    values: np.ndarray
+    raw_values: np.ndarray
+    oracle: QueryRecorder
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.oracle._resolve(self.rows, self.raw_values)
 
     @cached_property
     def segment_rows(self) -> np.ndarray:
@@ -108,7 +116,7 @@ class StepOutcome:
 
     @property
     def next_value(self) -> float | None:
-        return float(self.values[-1]) if self.variant == "advanced" else None
+        return float(self.raw_values[-1]) if self.variant == "advanced" else None
 
     @cached_property
     def queries(self) -> tuple[tuple[Point, float], ...]:
@@ -134,20 +142,29 @@ class SearchTrace:
     """Full record of a search: the polyline as an (n, d) array of vertex
     rows, the per-vertex prediction values as a float64 array, an (n, 2)
     int array of (doubling index j, contraction index i) labels, and
-    per-step summaries. ``final_point`` is a Point view."""
+    per-step summaries. ``final_point`` is a Point view.
+
+    ``raw_values`` are the values as the oracle logged them, NaN where it
+    deferred one; ``lambda_values`` resolves them against ``oracle`` on
+    first read."""
 
     rows: np.ndarray
-    lambda_values: np.ndarray
+    raw_values: np.ndarray
     phase_labels: np.ndarray
     total_length: float
     reached: bool
     doublings: int | None
     steps: tuple[StepRecord, ...]
+    oracle: QueryRecorder
 
     def __post_init__(self):
         n = len(self.rows)
-        if n == 0 or len(self.lambda_values) != n or len(self.phase_labels) != n:
+        if n == 0 or len(self.raw_values) != n or len(self.phase_labels) != n:
             raise ValueError("per-vertex fields must match a nonzero vertex count")
+
+    @cached_property
+    def lambda_values(self) -> np.ndarray:
+        return self.oracle._resolve(self.rows, self.raw_values)
 
     @property
     def dimension(self) -> int:
@@ -195,8 +212,10 @@ def one_step(
     at the first point q with lambda(q) <= lambda_i/2 ("advanced"); if the
     net is exhausted, returns to p_i ("guess_too_small"), which certifies
     that the true prediction factor exceeds c_guess. The net rows go to the
-    oracle in one ``query_rows`` call, which rejects a non-finite row before
-    any query. With a ``query_limit``, a walk that needs more queries raises
+    oracle in one walk, the one ``query_rows`` runs, which rejects a
+    non-finite row before any query; the step keeps the values unresolved,
+    and ``StepOutcome.values`` resolves them when read. With a
+    ``query_limit``, a walk that needs more queries raises
     QueryBudgetExceeded once the oracle has answered exactly ``query_limit``
     queries in all.
     """
@@ -213,20 +232,20 @@ def one_step(
     limit = len(pts)
     if query_limit is not None:
         limit = max(0, min(limit, query_limit - oracle.query_count))
-    values = oracle.query_rows(pts, lambda_i / 2.0, limit)
-    n = len(values)
-    if n > 0 and values[-1] <= lambda_i / 2.0:
-        return StepOutcome("advanced", base, pts[:n].copy(), values)
-    if n < len(pts):
+    rows, values = oracle._query_raw(pts, lambda_i / 2.0, limit)
+    if len(values) > 0 and values[-1] <= lambda_i / 2.0:
+        return StepOutcome("advanced", base, rows.copy(), values, oracle)
+    if len(values) < len(pts):
         raise QueryBudgetExceeded(f"query limit {query_limit} reached during a step")
-    return StepOutcome("guess_too_small", base, pts, values)
+    return StepOutcome("guess_too_small", base, pts, values, oracle)
 
 
 class _TraceBuilder:
     """A search's vertex rows, values and phase labels, and its steps,
     assembled into a :class:`SearchTrace` once, in ``freeze``."""
 
-    def __init__(self, start: Point, start_value: float, label: tuple[int, int]):
+    def __init__(self, oracle, start: Point, start_value: float, label: tuple[int, int]):
+        self.oracle = oracle
         self.rows: list[np.ndarray] = []
         self.lambdas: list[np.ndarray] = []
         self.labels: list[tuple[int, int]] = []
@@ -237,7 +256,7 @@ class _TraceBuilder:
 
     def extend(self, rows, values, label):
         """Append vertex rows (an (n, d) array or a list of coordinate
-        tuples) with their prediction values under one phase label."""
+        tuples) with their raw prediction values under one phase label."""
         self.rows.append(np.asarray(rows, dtype=np.float64))
         self.lambdas.append(np.asarray(values, dtype=np.float64))
         self.labels.append(label)
@@ -261,12 +280,13 @@ class _TraceBuilder:
             steps.append(StepRecord(j, i, guess, lam, lam_end, length, queries, advanced))
         return SearchTrace(
             rows=rows,
-            lambda_values=np.concatenate(self.lambdas),
+            raw_values=np.concatenate(self.lambdas),
             phase_labels=np.repeat(np.array(self.labels, dtype=np.int64), self.counts, axis=0),
             total_length=path_length(rows),
             reached=reached,
             doublings=doublings,
             steps=tuple(steps),
+            oracle=self.oracle,
         )
 
 
@@ -276,7 +296,7 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
     lam = oracle.query(p)
     j = 1 if doubling else 0
     i = 0
-    builder = _TraceBuilder(p, lam, (j, i))
+    builder = _TraceBuilder(oracle, p, lam, (j, i))
     reached = False
     while True:
         if lam <= config.delta_stop:
@@ -292,7 +312,7 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
         guess = float(2**j) if doubling else config.c_guess
         outcome = one_step(p, lam, guess, oracle, query_limit=config.max_queries)
         base = builder.size - 1
-        values = outcome.values
+        values = outcome.raw_values
         if outcome.variant == "advanced":
             builder.extend(outcome.rows[:-1], values[:-1], (j, i))
             builder.extend(outcome.rows[-1:], values[-1:], (j, i + 1))
@@ -346,7 +366,7 @@ def _exact_search(oracle, config: StrategyConfig) -> SearchTrace:
     d = oracle.dimension
     o = origin(d)
     lam0 = oracle.query(o)
-    builder = _TraceBuilder(o, lam0, (0, 0))
+    builder = _TraceBuilder(oracle, o, lam0, (0, 0))
     if lam0 == 0.0:
         return builder.freeze(reached=True, doublings=None)
     offset = lam0 * config.epsilon_ratio / (2.0 * d)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 import predsearch
 from predsearch import point, render_svg, run_strategy
 from predsearch.cli import _random_direction, main
+from predsearch.nets import dists_to
 from predsearch.oracles import OracleSpec, PredictionOracle
 from predsearch.strategies import StrategyConfig
 
@@ -209,23 +211,38 @@ def test_sweep_mean_is_summed_left_to_right(tmp_path):
     assert means["known_c"] == "6.9874407846"
 
 
-def test_sweep_hashes_exactly_the_rows_it_logs(tmp_path, monkeypatch):
-    # Whole chunks hashed past each step's stop once cost 420,434 hashes
-    # for the 300,900 queries of the benchmark sweep.
-    hashed = []
-    digests = PredictionOracle._digests
+def test_sweep_hashes_exactly_the_rows_that_can_stop(tmp_path, monkeypatch):
+    # The benchmark sweep at seed 0 logs 300,900 queries. Hashing each once
+    # cost 300,900 hashes (whole chunks, 420,434); a row with
+    # c_lo*|pt| > stop cannot stop its step, and the sweep never reads its
+    # value, so only the 22,201 rows that can stop a step are hashed, and
+    # the 480 searches' first queries, one-row chunks evaluated at once.
+    hashed, candidates, singles = [], [], []
+    digests, answer = PredictionOracle._digests, PredictionOracle._answer
 
-    def counted(self, rows):
+    def counted_digests(self, rows):
         for digest in digests(self, rows):
             hashed.append(digest)
             yield digest
 
-    monkeypatch.setattr(PredictionOracle, "_digests", counted)
+    def counted_answer(self, rows, stop):
+        values = answer(self, rows, stop)
+        if len(rows) == 1:
+            singles.append(1)
+        else:
+            dist = dists_to(rows[: len(values)], self.spec.target.coords)
+            candidates.append(int(np.count_nonzero(self.spec.c_lo * dist <= stop)))
+        return values
+
+    monkeypatch.setattr(PredictionOracle, "_digests", counted_digests)
+    monkeypatch.setattr(PredictionOracle, "_answer", counted_answer)
     out = tmp_path / "s.csv"
-    argv = ["sweep", "--d", "2", "--c", "4", "--trials", "2", "--seed", "0"]
+    argv = ["sweep", "--d", "1", "2", "--c", "2", "4", "8", "--trials", "40", "--seed", "0"]
     assert main(argv + ["--out", str(out)]) == 0
     queries = [int(r["queries"]) for r in csv.DictReader(out.open()) if r["row_type"] == "trial"]
-    assert len(hashed) == sum(queries) > 0
+    assert sum(queries) == 300_900
+    assert (sum(candidates), len(singles)) == (22_201, 480)
+    assert len(hashed) == sum(candidates) + len(singles)
 
 
 @pytest.mark.parametrize(
@@ -245,6 +262,54 @@ def test_past_the_cap_exits_2_with_a_short_message(argv, count, tmp_path, capsys
     assert err.startswith(f"error: {count} lattice candidates exceed the cap")
     assert len(err.encode()) < 200
     assert not out.exists()
+
+
+def test_a_cap_count_of_millions_of_digits_exits_2_within_a_second(tmp_path):
+    # The exact count 12001^1000000 once took ~3 s to compute before the
+    # comparison with the cap; the child times main() alone.
+    env = dict(os.environ, PYTHONPATH=str(Path(predsearch.__file__).parents[1]))
+    code = (
+        "import sys, time\n"
+        "from predsearch.cli import main\n"
+        "start = time.perf_counter()\n"
+        "status = main(['net', '--d', '1000000', '--eps', '0.5'])\n"
+        "print(time.perf_counter() - start)\n"
+        "sys.exit(status)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ~2.72e+4079217 lattice candidates exceed the cap")
+    assert float(proc.stdout) < 1.0
+
+
+# sha256 of the trace CSV of NOISE_RUN_CONFIG, recorded with a seeded noise
+# that computed every value it logged as it logged it.
+_NOISE_RUN_TRACE_SHA256 = "746775c7e059a8371f38742aa47995dfe3abf583ed7825407bedbdafdeb40cf0"
+
+NOISE_RUN_CONFIG = {
+    "d": 2,
+    "seed": 5,
+    "target": [0.9, -1.3],
+    "oracle": {"kind": "seeded_noise", "c_hi": 16.0, "seed": 3},
+    "strategy": {"kind": "unknown_c", "delta_stop": 1e-3},
+}
+
+
+def test_seeded_noise_run_trace_csv_is_pinned(tmp_path):
+    # The CSV prints every lambda, so each value the walk deferred is read
+    # back; the run doubles its guess once, so both step variants occur.
+    cfg = write_config(tmp_path, NOISE_RUN_CONFIG)
+    out = tmp_path / "trace.csv"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _NOISE_RUN_TRACE_SHA256
+    assert {row["j"] for row in csv.DictReader(out.open())} == {"1", "2"}
 
 
 def test_lowerbound_small_instance(tmp_path):

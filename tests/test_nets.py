@@ -90,6 +90,13 @@ def test_build_net_candidate_cap(monkeypatch):
     assert len(_unit_net_points.__wrapped__(3, 0.45)) > 0
 
 
+def test_cap_count_text_is_exact_up_to_15_digits():
+    # log10(999999999999999) rounds to 15.0, yet the count has 15 digits.
+    assert nets._count_text(999_999_999_999_999, 1) == "999999999999999"
+    assert nets._count_text(10**15 + 1, 1) == "~1.00e+15"
+    assert nets._count_text(23, 3) == "12167"
+
+
 def test_check_covering_built_net():
     net = build_net(Ball(origin(2), 1.0), 0.25)
     report = check_covering(net, 10_000, seed=0)

@@ -26,6 +26,7 @@ from predsearch import (
     validate_oracle,
 )
 from predsearch.nets import dists_to
+from predsearch.strategies import StrategyConfig, one_step, phase_endpoints, run_strategy
 from predsearch.verification import build_adversarial_instance
 
 
@@ -453,14 +454,20 @@ def test_noise_stop_test_agrees_with_the_logged_values(c_lo, c_hi, dist):
     # The seeded noise decides where to stop from a Python-float value and
     # logs numpy values; at stop = the numpy value of the first row the walk
     # must stop there, and one ulp below it must go on to the second row.
+    # There the first row is deferred iff c_lo*|pt| > stop, and resolves to
+    # the same value.
     oracle = make_oracle("seeded_noise", point(0.0, 0.0), c=c_hi, c_lo=c_lo)
     rows = np.array([[dist, 0.0], [0.0, 0.0]])
     for digest in _edge_digests():
-        oracle._digests = lambda rows: iter([digest.to_bytes(8, "little"), bytes(8)])
+        draws = {dist: digest.to_bytes(8, "little"), 0.0: bytes(8)}
+        oracle._digests = lambda rows: iter([draws[x] for x in rows[:, 0].tolist()])
         u = np.array([digest], dtype=np.uint64) / 2.0**64
         value = ((c_lo + (c_hi - c_lo) * u) * dist).item()
         assert len(oracle._answer(rows, value)) == 1, digest
-        assert oracle._answer(rows, math.nextafter(value, -math.inf)).tolist() == [value, 0.0]
+        below = math.nextafter(value, -math.inf)
+        raw = oracle._answer(rows, below)
+        assert math.isnan(raw[0]) == (c_lo * dist > below), digest
+        assert oracle._resolve(rows, raw).tolist() == [value, 0.0], digest
 
 
 class _HashEveryRow(PredictionOracle):
@@ -499,7 +506,57 @@ def test_exact_stop_logs_what_hashing_every_row_logs(d, n, at_target, stop, limi
     want_rows, want_values = reference.query_arrays()
     assert np.array_equal(got_rows, want_rows)
     assert repr(got_values.tolist()) == repr(want_values.tolist())
+    # Each row queried is hashed once: in the walk if it can stop it, else
+    # when query_rows resolves the value it deferred, and the log read after
+    # it hashes none again.
     assert oracle.query_count == reference.query_count == len(hashed)
+
+
+def _no_nan_and_same(got, want):
+    """Equal by repr, every float bit included, and no value NaN."""
+    assert not np.isnan(np.asarray(got, dtype=np.float64)).any()
+    assert repr(np.asarray(got).tolist()) == repr(np.asarray(want).tolist())
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    d=st.integers(1, 3),
+    n=st.integers(0, 2_200),
+    stop=st.one_of(st.sampled_from([-math.inf, 0.0]), st.floats(0.0, 4.0)),
+    limit=st.integers(0, 2_300),
+    c_lo=st.floats(0.0, 1.0, exclude_min=True),
+    c_hi=st.floats(1.0, 16.0),
+    lam=st.floats(0.05, 2.0),
+    guess=st.sampled_from([1.0, 2.0, 3.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_deferred_values_read_as_hashing_every_row(d, n, stop, limit, c_lo, c_hi, lam, guess, seed):
+    # The seeded noise defers the rows that cannot stop a walk; every read
+    # resolves them to what hashing every row gives, and none shows a NaN.
+    target = Point((0.1, -0.2, 0.05)[:d])
+    rng = np.random.default_rng(seed)
+    rows = rng.uniform(-1.0, 1.0, size=(n, d))
+    base = Point(tuple(rng.uniform(-1.0, 1.0, size=d).tolist()))
+    spec = OracleSpec(kind="seeded_noise", target=target, c_hi=c_hi, c_lo=c_lo, seed=seed)
+    oracle, reference = PredictionOracle(spec), _HashEveryRow(spec)
+    _no_nan_and_same(oracle.query_rows(rows, stop, limit), reference.query_rows(rows, stop, limit))
+    got, want = one_step(base, lam, guess, oracle), one_step(base, lam, guess, reference)
+    assert got.variant == want.variant
+    _no_nan_and_same(got.values, want.values)
+    assert repr(got.queries) == repr(want.queries)
+    _no_nan_and_same(oracle.query_arrays()[1], reference.query_arrays()[1])
+    assert repr(list(oracle.memo.items())) == repr(list(reference.memo.items()))
+    # A whole search, with the c_lo = 1 that its halving argument needs and
+    # factors small enough for quick nets up to d = 3.
+    spec = OracleSpec(
+        kind="seeded_noise", target=Point(tuple(rows[0])) if n else target,
+        c_hi=min(c_hi, {1: 16.0, 2: 8.0, 3: 3.0}[d]), seed=seed,
+    )
+    config = StrategyConfig(kind="unknown_c", delta_stop=1e-3)
+    got = run_strategy(PredictionOracle(spec), config)
+    want = run_strategy(_HashEveryRow(spec), config)
+    _no_nan_and_same(got.lambda_values, want.lambda_values)
+    assert repr(phase_endpoints(got)) == repr(phase_endpoints(want))
 
 
 @settings(deadline=None)
