@@ -18,6 +18,8 @@ import argparse
 import json
 import math
 import operator
+import os
+import pickle
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -280,19 +282,132 @@ def _sweep_trial(d: int, c: float, trial: int, seed: int, delta: float):
     return rows
 
 
+def _sweep_task(args, task: int) -> list[dict]:
+    """The rows of one sweep trial; the tasks are numbered in (d, c, trial)
+    order."""
+    cell, trial = divmod(task, args.trials)
+    d_index, c_index = divmod(cell, len(args.c))
+    return _sweep_trial(args.d[d_index], args.c[c_index], trial, args.seed, args.delta)
+
+
+def _sweep_share(args, tasks):
+    """Run the tasks, in increasing order, up to the first that raises an
+    ``Exception``. Returns the ``(task, rows)`` pairs done and the
+    ``(task, exception)`` of that failure, or None."""
+    done = []
+    for task in tasks:
+        try:
+            done.append((task, _sweep_task(args, task)))
+        except Exception as exc:
+            return done, (task, exc)
+    return done, None
+
+
+def _sweep_workers() -> int:
+    """How many processes a sweep may use: one per CPU in this process's
+    affinity mask. One where the platform has no ``fork`` or no mask, and
+    where ``query`` is wrapped."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return 1 if PredictionOracle.query_wrapped() else len(os.sched_getaffinity(0))
+
+
+def _sweep_child(args, share, pipe_fd: int):
+    """A forked worker: write ``_sweep_share``'s result to the pipe as one
+    pickle, and end with ``os._exit``. It never returns, so it neither
+    flushes the stdio buffers it copied from its parent nor runs their exit
+    handlers."""
+    code = 1
+    try:
+        data = pickle.dumps(_sweep_share(args, share))
+        with open(pipe_fd, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_shares(args, shares) -> list:
+    """``_sweep_share`` of every share. The first runs here; each other runs
+    in a child forked for it, which sends its result back over a pipe. Every
+    child is reaped, and killed first if this process's own share raises
+    anything but a trial failure."""
+    pids, pipes, blobs = [], [], []
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                # fork, not spawn: the worker shares the unit walks built so
+                # far. numpy's OpenBLAS shuts its thread pool down first.
+                pid = os.fork()
+                if pid == 0:
+                    _sweep_child(args, share, write_end)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        results = [_sweep_share(args, shares[0])]
+        while pipes:
+            with open(pipes.pop(0), "rb") as pipe:
+                blobs.append(pipe.read())
+    except BaseException:
+        import signal  # only an interrupted sweep needs it
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in pipes:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for blob, status in zip(blobs, statuses):
+        try:
+            results.append(pickle.loads(blob))
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(
+                f"a sweep worker exited with status {os.waitstatus_to_exitcode(status)} "
+                f"without sending its results"
+            ) from None
+    return results
+
+
 def cmd_sweep(args) -> int:
+    """Every (d, c) cell runs ``--trials`` trials, each seeded by its own
+    (d, c, trial), so they run across the CPUs in the process's affinity
+    mask and write what one process writes. This process first runs each
+    cell's trial 0, which builds the unit walks the cell uses, so that the
+    forked workers share them. Worker r of w runs every w-th remaining trial
+    from the r-th, and this process is worker 0. A failure raises that of
+    the lowest task, the one a single process would have met first."""
     if not all(1.0 <= c < math.inf for c in args.c):
         raise ConfigError("all sweep c values must be finite and >= 1")
     if args.trials < 1:
         raise ConfigError("trials must be >= 1")
     if min(args.d) < 1 or not 0.0 < args.delta < math.inf:
         raise ConfigError("need d >= 1 and finite delta > 0")
-    rows = []
+    trials = args.trials
+    cells = len(args.d) * len(args.c)
+    first = _sweep_share(args, range(0, cells * trials, trials))
+    # The later trials of a cell past a failed trial 0 would never run in
+    # one process.
+    rest = (cells if first[1] is None else first[1][0] // trials) * (trials - 1)
+    workers = max(1, min(_sweep_workers(), rest))
+    # The m-th remaining task is trial 1 + m % (trials - 1) of cell
+    # m // (trials - 1).
+    shares = [
+        (m // (trials - 1) * trials + 1 + m % (trials - 1) for m in range(rest)[r::workers])
+        for r in range(workers)
+    ]
+    results = [first, *_run_shares(args, shares)]
+    failures = [failure for _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=operator.itemgetter(0))[1]
+    done = sorted((pair for share, _ in results for pair in share), key=operator.itemgetter(0))
+    rows, start = [], 0
     for d in args.d:
         for c in args.c:
-            cell = []
-            for trial in range(args.trials):
-                cell.extend(_sweep_trial(d, c, trial, args.seed, args.delta))
+            cell = [row for _, task_rows in done[start : start + trials] for row in task_rows]
+            start += trials
             rows.extend(cell)
             for kind in ("known_c", "unknown_c"):
                 ratios = [float(r["ratio"]) for r in cell if r["strategy"] == kind]

@@ -181,6 +181,13 @@ class QueryRecorder:
     # bench/tests assert that its ``oracles.query.calls`` is the query count.
     _chunked_query = query
 
+    @classmethod
+    def query_wrapped(cls) -> bool:
+        """True where a subclass or wrapper replaced ``query``. Every row
+        then goes through it, and a sweep stays in one process, as an
+        in-process wrapper hears only the queries of its own process."""
+        return cls.query is not cls._chunked_query
+
     def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
         first = len(self._value_chunks)
         self._query_raw(rows, stop, limit)
@@ -212,7 +219,7 @@ class QueryRecorder:
 
     def _query_prefix(self, rows: np.ndarray, stop: float) -> None:
         """Query the rows in order until a value ``<= stop``."""
-        if type(self).query is not type(self)._chunked_query:
+        if self.query_wrapped():
             for row in rows:
                 if self.query(Point(row.tolist())) <= stop:
                     break

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,8 @@ import predsearch
 from predsearch import point, render_svg, run_strategy
 from predsearch.cli import _random_direction, main
 from predsearch.nets import dists_to
-from predsearch.oracles import OracleSpec, PredictionOracle
-from predsearch.strategies import StrategyConfig
+from predsearch.oracles import OracleSpec, PredictionOracle, QueryRecorder
+from predsearch.strategies import GuessTooSmallError, StrategyConfig
 
 
 RUN_CONFIG = {
@@ -217,6 +218,8 @@ def test_sweep_hashes_exactly_the_rows_that_can_stop(tmp_path, monkeypatch):
     # c_lo*|pt| > stop cannot stop its step, and the sweep never reads its
     # value, so only the 22,201 rows that can stop a step are hashed, and
     # the 480 searches' first queries, one-row chunks evaluated at once.
+    # The counters live in this process, so the sweep runs in it alone.
+    monkeypatch.setattr(predsearch.cli.os, "sched_getaffinity", lambda pid: {0})
     hashed, candidates, singles = [], [], []
     digests, answer = PredictionOracle._digests, PredictionOracle._answer
 
@@ -243,6 +246,166 @@ def test_sweep_hashes_exactly_the_rows_that_can_stop(tmp_path, monkeypatch):
     assert sum(queries) == 300_900
     assert (sum(candidates), len(singles)) == (22_201, 480)
     assert len(hashed) == sum(candidates) + len(singles)
+
+
+# 6 cells of 5 trials. Each cell's trial 0 runs first in the parent; then,
+# on two CPUs, the parent runs trials 1 and 3 of every cell and the worker
+# trials 2 and 4.
+SMALL_SWEEP = ["sweep", "--d", "1", "2", "--c", "2", "4", "8", "--trials", "5", "--seed", "0"]
+
+
+def _allow_cpus(monkeypatch, n):
+    monkeypatch.setattr(predsearch.cli.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(tmp_path, monkeypatch, capfd):
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(predsearch.cli.os, "fork", counted_fork)
+    blobs = []
+    for cpus in (1, 2, 3):
+        _allow_cpus(monkeypatch, cpus)
+        out = tmp_path / f"s{cpus}.csv"
+        assert main(SMALL_SWEEP + ["--out", str(out)]) == 0
+        _assert_no_child_left()
+        assert len(forks) == cpus - 1
+        forks.clear()
+        blobs.append(out.read_bytes())
+        # A worker that returned from its fork would print this line too.
+        assert capfd.readouterr().out.count("sweep: 60 trial rows") == 1
+    assert blobs[0] == blobs[1] == blobs[2]
+
+
+@pytest.mark.parametrize(
+    "failing, first",
+    [
+        ({(1, 4.0, 2), (2, 2.0, 1)}, (1, 4.0, 2)),  # the worker's fails first
+        ({(1, 2.0, 3), (1, 8.0, 4)}, (1, 2.0, 3)),  # the parent's fails first
+        ({(2, 2.0, 0), (1, 4.0, 3)}, (1, 4.0, 3)),  # a trial 0 fails later
+        ({(1, 8.0, 0), (2, 2.0, 1)}, (1, 8.0, 0)),  # a trial 0 fails first
+    ],
+)
+def test_a_failed_trial_fails_the_sweep_as_in_one_process(
+    failing, first, tmp_path, monkeypatch, capfd
+):
+    sweep_trial = predsearch.cli._sweep_trial
+
+    def failing_trial(d, c, trial, seed, delta):
+        if (d, c, trial) in failing:
+            raise GuessTooSmallError(f"trial {trial} of d={d} c={c}")
+        return sweep_trial(d, c, trial, seed, delta)
+
+    monkeypatch.setattr(predsearch.cli, "_sweep_trial", failing_trial)
+    for cpus in (1, 2):
+        _allow_cpus(monkeypatch, cpus)
+        assert main(SMALL_SWEEP + ["--out", str(tmp_path / "s.csv")]) == 1
+        _assert_no_child_left()
+        d, c, trial = first
+        assert capfd.readouterr().err == f"run failed: trial {trial} of d={d} c={c}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_a_failed_trial_0_ends_the_sweep_before_the_later_cells(tmp_path, monkeypatch, capsys):
+    # One process would fail in the first cell, before any other trial.
+    _allow_cpus(monkeypatch, 2)
+    calls, sweep_trial = [], predsearch.cli._sweep_trial
+
+    def counted_trial(*args):
+        calls.append(args[:3])
+        return sweep_trial(*args)
+
+    monkeypatch.setattr(predsearch.cli, "_sweep_trial", counted_trial)
+    argv = ["sweep", "--d", "2", "--c", "1e300", "2", "--trials", "3", "--seed", "0"]
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 2
+    assert "exceed the cap" in capsys.readouterr().err
+    assert calls == [(2, 1e300, 0)]
+
+
+def test_a_worker_that_exits_without_its_rows_is_named(tmp_path, monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    parent, sweep_trial = os.getpid(), predsearch.cli._sweep_trial
+
+    def dying_trial(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return sweep_trial(*args)
+
+    monkeypatch.setattr(predsearch.cli, "_sweep_trial", dying_trial)
+    with pytest.raises(RuntimeError, match="exited with status 3 without sending its results"):
+        main(SMALL_SWEEP + ["--out", str(tmp_path / "s.csv")])
+    _assert_no_child_left()
+
+
+def test_an_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, monkeypatch):
+    _allow_cpus(monkeypatch, 2)
+    parent, sweep_trial = os.getpid(), predsearch.cli._sweep_trial
+
+    slept = []
+
+    def slow_or_interrupted(d, c, trial, seed, delta):
+        if os.getpid() != parent and not slept:
+            slept.append(1)
+            time.sleep(20)
+        elif os.getpid() == parent and trial > 0:
+            raise KeyboardInterrupt
+        return sweep_trial(d, c, trial, seed, delta)
+
+    monkeypatch.setattr(predsearch.cli, "_sweep_trial", slow_or_interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        main(SMALL_SWEEP + ["--out", str(tmp_path / "s.csv")])
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def test_a_worker_ends_without_flushing_or_exit_handlers(tmp_path):
+    # stdout is a pipe, so the first line is still buffered at the fork.
+    argv = SMALL_SWEEP + ["--out", str(tmp_path / "s.csv")]
+    script = (
+        "import atexit, os\n"
+        "from predsearch.cli import main\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "atexit.register(print, 'exit handler')\n"
+        "print('before the sweep')\n"
+        f"print('main returned', main({argv!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(predsearch.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.splitlines() == [
+        "before the sweep",
+        f"sweep: 60 trial rows, 0 violations -> {tmp_path / 's.csv'}",
+        "main returned 0",
+        "exit handler",
+    ]
+
+
+def test_a_wrapped_query_hears_every_query_of_a_sweep(tmp_path, monkeypatch):
+    # An in-process wrapper hears only its own process, so the sweep stays
+    # in it, whatever the affinity mask.
+    _allow_cpus(monkeypatch, 2)
+    calls = []
+
+    def counted_query(self, p):
+        calls.append(1)
+        return QueryRecorder.query(self, p)
+
+    monkeypatch.setattr(PredictionOracle, "query", counted_query)
+    out = tmp_path / "s.csv"
+    assert main(SMALL_SWEEP + ["--out", str(out)]) == 0
+    queries = [int(r["queries"]) for r in csv.DictReader(out.open()) if r["row_type"] == "trial"]
+    assert len(queries) == 60
+    assert len(calls) == sum(queries)
 
 
 @pytest.mark.parametrize(
