@@ -21,6 +21,7 @@ import operator
 import os
 import pickle
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from hashlib import blake2b
@@ -187,7 +188,10 @@ def trace_to_csv(trace: SearchTrace) -> str:
 
 def _write(path: str | None, content: str) -> None:
     if path is not None:
-        Path(path).write_text(content)
+        try:
+            Path(path).write_text(content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _report_json(payload: dict) -> str:
@@ -226,21 +230,14 @@ def cmd_run(args) -> int:
     return 0 if report.reached and not report.violations else 1
 
 
-SWEEP_COLUMNS = [
-    "row_type",
-    "d",
-    "c",
-    "trial",
-    "strategy",
-    "dist_ot",
-    "total_length",
-    "ratio",
-    "bound",
-    "doublings",
-    "doubling_cap",
-    "queries",
-    "ok",
-]
+# The sweep CSV's columns, in order. A summary row leaves the per-trial
+# columns empty.
+SweepRow = namedtuple(
+    "SweepRow",
+    "row_type d c trial strategy dist_ot total_length ratio bound doublings doubling_cap "
+    "queries ok",
+    defaults=("",) * 13,
+)
 
 
 def _sweep_trial(d: int, c: float, trial: int, seed: int, delta: float):
@@ -263,68 +260,38 @@ def _sweep_trial(d: int, c: float, trial: int, seed: int, delta: float):
         bound = report.bound_upper_known if kind == "known_c" else report.bound_upper_unknown
         ok = report.reached and not report.violations
         rows.append(
-            {
-                "row_type": "trial",
-                "d": str(d),
-                "c": fmt12(c),
-                "trial": str(trial),
-                "strategy": kind,
-                "dist_ot": fmt12(report.dist_ot),
-                "total_length": fmt12(report.total_length),
-                "ratio": fmt12(report.ratio),
-                "bound": fmt12(bound),
-                "doublings": "" if report.doublings is None else str(report.doublings),
-                "doubling_cap": "" if report.doubling_cap is None else str(report.doubling_cap),
-                "queries": str(report.queries),
-                "ok": "true" if ok else "false",
-            }
+            SweepRow(
+                row_type="trial",
+                d=str(d),
+                c=fmt12(c),
+                trial=str(trial),
+                strategy=kind,
+                dist_ot=fmt12(report.dist_ot),
+                total_length=fmt12(report.total_length),
+                ratio=fmt12(report.ratio),
+                bound=fmt12(bound),
+                doublings="" if report.doublings is None else str(report.doublings),
+                doubling_cap="" if report.doubling_cap is None else str(report.doubling_cap),
+                queries=str(report.queries),
+                ok="true" if ok else "false",
+            )
         )
     return rows
 
 
-def _sweep_task(args, task: int) -> list[dict]:
-    """The rows of one sweep trial; the tasks are numbered in (d, c, trial)
-    order."""
-    cell, trial = divmod(task, args.trials)
-    d_index, c_index = divmod(cell, len(args.c))
-    return _sweep_trial(args.d[d_index], args.c[c_index], trial, args.seed, args.delta)
-
-
 def _sweep_share(args, tasks):
-    """Run the tasks, in increasing order, up to the first that raises an
-    ``Exception``. Returns the ``(task, rows)`` pairs done and the
-    ``(task, exception)`` of that failure, or None."""
+    """Run the trials numbered ``tasks`` in (d, c, trial) order up to the
+    first that raises an ``Exception``. Returns the ``(task, rows)`` pairs
+    done and the ``(task, exception)`` of that failure, or None."""
     done = []
     for task in tasks:
+        cell, trial = divmod(task, args.trials)
+        d, c = args.d[cell // len(args.c)], args.c[cell % len(args.c)]
         try:
-            done.append((task, _sweep_task(args, task)))
+            done.append((task, _sweep_trial(d, c, trial, args.seed, args.delta)))
         except Exception as exc:
             return done, (task, exc)
     return done, None
-
-
-def _sweep_workers() -> int:
-    """How many processes a sweep may use: one per CPU in this process's
-    affinity mask. One where the platform has no ``fork`` or no mask, and
-    where ``query`` is wrapped."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return 1 if PredictionOracle.query_wrapped() else len(os.sched_getaffinity(0))
-
-
-def _sweep_child(args, share, pipe_fd: int):
-    """A forked worker: write ``_sweep_share``'s result to the pipe as one
-    pickle, and end with ``os._exit``. It never returns, so it neither
-    flushes the stdio buffers it copied from its parent nor runs their exit
-    handlers."""
-    code = 1
-    try:
-        data = pickle.dumps(_sweep_share(args, share))
-        with open(pipe_fd, "wb") as pipe:
-            pipe.write(data)
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _run_shares(args, shares) -> list:
@@ -342,7 +309,16 @@ def _run_shares(args, shares) -> list:
                 # far. numpy's OpenBLAS shuts its thread pool down first.
                 pid = os.fork()
                 if pid == 0:
-                    _sweep_child(args, share, write_end)
+                    # A worker sends one pickle and ends in os._exit, so it
+                    # neither flushes its copied stdio nor runs exit handlers.
+                    code = 1
+                    try:
+                        data = pickle.dumps(_sweep_share(args, share))
+                        with open(write_end, "wb") as pipe:
+                            pipe.write(data)
+                        code = 0
+                    finally:
+                        os._exit(code)
             finally:
                 os.close(write_end)
             pids.append(pid)
@@ -391,7 +367,12 @@ def cmd_sweep(args) -> int:
     # The later trials of a cell past a failed trial 0 would never run in
     # one process.
     rest = (cells if first[1] is None else first[1][0] // trials) * (trials - 1)
-    workers = max(1, min(_sweep_workers(), rest))
+    # One process where the platform has no fork or no affinity mask, and
+    # where query is wrapped: a wrapper hears only its own process.
+    cpus = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = 1 if PredictionOracle.query_wrapped() else len(os.sched_getaffinity(0))
+    workers = max(1, min(cpus, rest))
     # The m-th remaining task is trial 1 + m % (trials - 1) of cell
     # m // (trials - 1).
     shares = [
@@ -403,49 +384,29 @@ def cmd_sweep(args) -> int:
     if failures:
         raise min(failures, key=operator.itemgetter(0))[1]
     done = sorted((pair for share, _ in results for pair in share), key=operator.itemgetter(0))
-    rows, start = [], 0
-    for d in args.d:
-        for c in args.c:
-            cell = [row for _, task_rows in done[start : start + trials] for row in task_rows]
-            start += trials
-            rows.extend(cell)
-            for kind in ("known_c", "unknown_c"):
-                ratios = [float(r["ratio"]) for r in cell if r["strategy"] == kind]
-                bound = next(r["bound"] for r in cell if r["strategy"] == kind)
-                # Summed left to right: the built-in sum compensates from
-                # Python 3.12 on, which changes the mean's last digit.
-                for stat, value in (
-                    ("mean", reduce(operator.add, ratios, 0.0) / len(ratios)),
-                    ("max", max(ratios)),
-                ):
-                    rows.append(
-                        {
-                            "row_type": f"summary_{stat}",
-                            "d": str(d),
-                            "c": fmt12(c),
-                            "trial": "",
-                            "strategy": kind,
-                            "dist_ot": "",
-                            "total_length": "",
-                            "ratio": fmt12(value),
-                            "bound": bound,
-                            "doublings": "",
-                            "doubling_cap": "",
-                            "queries": "",
-                            "ok": "",
-                        }
-                    )
-    lines = [",".join(SWEEP_COLUMNS)]
-    lines += [",".join(r[col] for col in SWEEP_COLUMNS) for r in rows]
+    rows = []
+    for start in range(0, len(done), trials):
+        cell = [row for _, task_rows in done[start : start + trials] for row in task_rows]
+        rows.extend(cell)
+        for kind in ("known_c", "unknown_c"):
+            kind_rows = [r for r in cell if r.strategy == kind]
+            ratios = [float(r.ratio) for r in kind_rows]
+            d, c, bound = kind_rows[0].d, kind_rows[0].c, kind_rows[0].bound
+            # Summed left to right: the built-in sum compensates from
+            # Python 3.12 on, which changes the mean's last digit.
+            mean = fmt12(reduce(operator.add, ratios, 0.0) / len(ratios))
+            for row_type, ratio in (("summary_mean", mean), ("summary_max", fmt12(max(ratios)))):
+                rows.append(SweepRow(row_type, d, c, strategy=kind, ratio=ratio, bound=bound))
+    lines = [",".join(SweepRow._fields)] + [",".join(r) for r in rows]
     _write(args.out, "\n".join(lines) + "\n")
-    bad = [r for r in rows if r["ok"] == "false"]
+    bad = [r for r in rows if r.ok == "false"]
     for r in bad:
         print(
-            f"VIOLATION: d={r['d']} c={r['c']} trial={r['trial']} "
-            f"strategy={r['strategy']} ratio={r['ratio']} bound={r['bound']}",
+            f"VIOLATION: d={r.d} c={r.c} trial={r.trial} "
+            f"strategy={r.strategy} ratio={r.ratio} bound={r.bound}",
             file=sys.stderr,
         )
-    print(f"sweep: {sum(1 for r in rows if r['row_type'] == 'trial')} trial rows, "
+    print(f"sweep: {sum(1 for r in rows if r.row_type == 'trial')} trial rows, "
           f"{len(bad)} violations -> {args.out}")
     return 1 if bad else 0
 
@@ -566,6 +527,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for path in (getattr(args, name, None) for name in ("out", "report", "svg", "dump")):
+            if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+                raise ConfigError(f"cannot write {path}: not a file in an existing directory")
         return args.func(args)
     except (ConfigError, CandidateCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

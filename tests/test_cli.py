@@ -263,6 +263,18 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+# (argv, trial rows, forks on 1, 2 and 3 CPUs)
+SWEEPS_ON_CPUS = [
+    (SMALL_SWEEP, 60, [0, 1, 2]),
+    # No task is left after the trials 0.
+    (["sweep", "--d", "1", "2", "--c", "2", "4", "8", "--trials", "1", "--seed", "0"], 12, [0, 0, 0]),
+    # One task is left: trial 1 of the one cell.
+    (["sweep", "--d", "1", "--c", "2", "--trials", "2", "--seed", "0"], 4, [0, 0, 0]),
+    # Six tasks are left, one per cell.
+    (["sweep", "--d", "1", "2", "--c", "2", "4", "8", "--trials", "2", "--seed", "0"], 24, [0, 1, 2]),
+]
+
+
 def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(tmp_path, monkeypatch, capfd):
     fork, forks = os.fork, []
 
@@ -271,18 +283,19 @@ def test_sweep_writes_the_same_bytes_on_any_number_of_cpus(tmp_path, monkeypatch
         return fork()
 
     monkeypatch.setattr(predsearch.cli.os, "fork", counted_fork)
-    blobs = []
-    for cpus in (1, 2, 3):
-        _allow_cpus(monkeypatch, cpus)
-        out = tmp_path / f"s{cpus}.csv"
-        assert main(SMALL_SWEEP + ["--out", str(out)]) == 0
-        _assert_no_child_left()
-        assert len(forks) == cpus - 1
-        forks.clear()
-        blobs.append(out.read_bytes())
-        # A worker that returned from its fork would print this line too.
-        assert capfd.readouterr().out.count("sweep: 60 trial rows") == 1
-    assert blobs[0] == blobs[1] == blobs[2]
+    for argv, trial_rows, expected_forks in SWEEPS_ON_CPUS:
+        blobs = []
+        for cpus in (1, 2, 3):
+            _allow_cpus(monkeypatch, cpus)
+            out = tmp_path / f"s{cpus}.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            _assert_no_child_left()
+            assert len(forks) == expected_forks[cpus - 1], (argv, cpus)
+            forks.clear()
+            blobs.append(out.read_bytes())
+            # A worker that returned from its fork would print this line too.
+            assert capfd.readouterr().out.count(f"sweep: {trial_rows} trial rows") == 1
+        assert blobs[0] == blobs[1] == blobs[2], argv
 
 
 @pytest.mark.parametrize(
@@ -618,6 +631,48 @@ def test_contraction_with_c_lo_below_1_exits_2_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "lambda(p) >= |pt|" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "{config}", "--out", "{ok}", "--report", "{missing}"],
+        ["sweep", "--d", "3", "--c", "8", "--trials", "40", "--seed", "0", "--out", "{dir}"],
+        ["lowerbound", "--c", "64", "--d", "2", "--strategy", "known_c"]
+        + ["--report", "{ok}", "--svg", "{dir}"],
+        ["net", "--d", "2", "--eps", "0.004", "--check", "--samples", "2000000"]
+        + ["--dump", "{missing}"],
+        # Passes the early check, then fails to write: ENOSPC.
+        ["net", "--d", "2", "--eps", "0.5", "--dump", "/dev/full"],
+    ],
+    ids=["run", "sweep", "lowerbound", "net", "net-write-fails"],
+)
+def test_an_unwritable_output_exits_2_before_any_work(argv, tmp_path, capsys):
+    # These once ran to the end, then died in _write with a FileNotFoundError
+    # traceback and exit 1, the code of a bound violation. Each run takes
+    # more than a second when it does the work.
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    doc = {
+        "d": 3,
+        "target": [0.6, -0.5, 0.4],
+        "oracle": {"kind": "seeded_noise", "c_hi": 8.0},
+        "strategy": {"kind": "known_c", "c_guess": 8.0},
+    }
+    paths = {
+        "config": write_config(tmp_path, doc),
+        "ok": tmp_path / "ok.out",
+        "missing": tmp_path / "missing" / "x.out",
+        "dir": tmp_path / "outdir",
+    }
+    paths["dir"].mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    start = time.perf_counter()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_sweep_d0_exits_2_promptly(tmp_path):
