@@ -133,8 +133,9 @@ class QueryRecorder:
     A pure subclass may defer a value that cannot stop a chunk of several
     rows: it logs NaN there, which no real value is and which never
     compares ``<= stop``, and computes it on first read with ``_values``.
-    ``_resolve`` fills the NaNs in place, so no public read (``query``,
-    ``query_rows``, ``query_arrays``, ``memo``) returns one.
+    ``_resolve`` fills the NaNs in the log, so each is computed once and no
+    public read (``query``, ``query_rows``, ``query_arrays``, ``memo``)
+    returns one.
     """
 
     # A chunk's answers may measure every row against every candidate
@@ -175,7 +176,7 @@ class QueryRecorder:
         return self._value_chunks[-1].item()
 
     # Subclasses bind this ``query`` as their own, so that a wrapper on one
-    # class leaves the other alone; ``_query_prefix`` sends every row through
+    # class leaves the other alone; ``_walk`` sends every row through
     # a replaced ``query``; ``memo`` is a view of the log. bench/tracer.py
     # needs all three: it wraps ``query`` per class and counts ``memo``, and
     # bench/tests assert that its ``oracles.query.calls`` is the query count.
@@ -189,25 +190,30 @@ class QueryRecorder:
         return cls.query is not cls._chunked_query
 
     def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
-        first = len(self._value_chunks)
-        self._query_raw(rows, stop, limit)
-        # Resolved in the log, so that a later read computes nothing again.
-        for chunk in zip(self._row_chunks[first:], self._value_chunks[first:]):
-            self._resolve(*chunk)
-        return np.concatenate([np.empty(0), *self._value_chunks[first:]])
+        first = self.query_count
+        self._walk(rows, stop, limit)
+        return self.query_arrays()[1][first:].copy()
 
-    def _query_raw(self, rows: np.ndarray, stop: float, limit: int):
-        """``query_rows`` without resolving: the rows queried, as a float64
-        array, and a copy of their logged values, NaN where deferred."""
+    def _walk(self, rows: np.ndarray, stop: float, limit: int) -> float | None:
+        """``query_rows`` without resolving: returns the value ``<= stop``
+        that stopped the walk, or None. The walk's values are logged from
+        position ``query_count`` on, some perhaps deferred."""
         rows = np.ascontiguousarray(rows, dtype="<f8")
         if rows.ndim != 2 or rows.shape[1] != self.dimension:
             raise ValueError(f"query rows of shape {rows.shape} for dimension {self.dimension}")
         if not np.isfinite(rows).all():
             raise ValueError("non-finite coordinate in the query rows")
-        first = len(self._value_chunks)
-        self._query_prefix(rows[: max(limit, 0)], stop)
-        values = np.concatenate([np.empty(0), *self._value_chunks[first:]])
-        return rows[: len(values)], values
+        rows = rows[: max(limit, 0)]
+        if self.query_wrapped():
+            for row in rows:
+                value = self.query(Point(row.tolist()))
+                if value <= stop:
+                    return value
+            return None
+        for start in range(0, len(rows), self._CHUNK):
+            if self._answer_chunk(rows[start : start + self._CHUNK], stop):
+                return self._value_chunks[-1].item(-1)
+        return None
 
     def _resolve(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Fill the deferred (NaN) entries of the values at the rows in
@@ -216,17 +222,6 @@ class QueryRecorder:
         if deferred.any():
             values[deferred] = self._values(rows[deferred])
         return values
-
-    def _query_prefix(self, rows: np.ndarray, stop: float) -> None:
-        """Query the rows in order until a value ``<= stop``."""
-        if self.query_wrapped():
-            for row in rows:
-                if self.query(Point(row.tolist())) <= stop:
-                    break
-            return
-        for start in range(0, len(rows), self._CHUNK):
-            if self._answer_chunk(rows[start : start + self._CHUNK], stop):
-                break
 
     def _answer_chunk(self, rows: np.ndarray, stop: float) -> bool:
         """Answer the rows of a nonempty C-contiguous float64 array in order

@@ -87,22 +87,23 @@ class StepOutcome:
     starting point. The segment always starts at the step's base point and
     stays inside B(base, lam).
 
-    ``rows`` holds the queried net points in walk order and ``raw_values``
-    their answers as the oracle logged them, NaN where it deferred a value;
-    ``values`` resolves them against the oracle on first read. The stopping
-    value is never deferred. ``segment_rows`` is the walked polyline.
+    ``rows`` holds the queried net points in walk order; the oracle logged
+    them from position ``first`` on, and ``values`` is a copy of their
+    answers read from that log. ``next_value`` is the value that stopped
+    the walk, or None. ``segment_rows`` is the walked polyline.
     ``next_point`` and ``queries`` are Point views.
     """
 
     variant: str
     base: np.ndarray
     rows: np.ndarray
-    raw_values: np.ndarray
+    first: int
+    next_value: float | None
     oracle: QueryRecorder
 
     @cached_property
     def values(self) -> np.ndarray:
-        return self.oracle._resolve(self.rows, self.raw_values)
+        return self.oracle.query_arrays()[1][self.first : self.first + len(self.rows)].copy()
 
     @cached_property
     def segment_rows(self) -> np.ndarray:
@@ -113,10 +114,6 @@ class StepOutcome:
     @property
     def next_point(self) -> Point | None:
         return Point(self.rows[-1].tolist()) if self.variant == "advanced" else None
-
-    @property
-    def next_value(self) -> float | None:
-        return float(self.raw_values[-1]) if self.variant == "advanced" else None
 
     @cached_property
     def queries(self) -> tuple[tuple[Point, float], ...]:
@@ -144,12 +141,12 @@ class SearchTrace:
     int array of (doubling index j, contraction index i) labels, and
     per-step summaries. ``final_point`` is a Point view.
 
-    ``raw_values`` are the values as the oracle logged them, NaN where it
-    deferred one; ``lambda_values`` resolves them against ``oracle`` on
-    first read."""
+    ``log_index`` holds each vertex's position in ``oracle``'s query log; a
+    vertex the walk returns to repeats its base's. ``lambda_values`` is a
+    copy of the values read from the log at those positions."""
 
     rows: np.ndarray
-    raw_values: np.ndarray
+    log_index: np.ndarray
     phase_labels: np.ndarray
     total_length: float
     reached: bool
@@ -159,12 +156,12 @@ class SearchTrace:
 
     def __post_init__(self):
         n = len(self.rows)
-        if n == 0 or len(self.raw_values) != n or len(self.phase_labels) != n:
+        if n == 0 or len(self.log_index) != n or len(self.phase_labels) != n:
             raise ValueError("per-vertex fields must match a nonzero vertex count")
 
     @cached_property
     def lambda_values(self) -> np.ndarray:
-        return self.oracle._resolve(self.rows, self.raw_values)
+        return self.oracle.query_arrays()[1][self.log_index]
 
     @property
     def dimension(self) -> int:
@@ -213,11 +210,10 @@ def one_step(
     net is exhausted, returns to p_i ("guess_too_small"), which certifies
     that the true prediction factor exceeds c_guess. The net rows go to the
     oracle in one walk, the one ``query_rows`` runs, which rejects a
-    non-finite row before any query; the step keeps the values unresolved,
-    and ``StepOutcome.values`` resolves them when read. With a
-    ``query_limit``, a walk that needs more queries raises
-    QueryBudgetExceeded once the oracle has answered exactly ``query_limit``
-    queries in all.
+    non-finite row before any query; ``StepOutcome.values`` reads their
+    values from the oracle's log. With a ``query_limit``, a walk that needs
+    more queries raises QueryBudgetExceeded once the oracle has answered
+    exactly ``query_limit`` queries in all.
     """
     if not lambda_i > 0.0:
         raise ValueError(f"lambda_i must be > 0, got {lambda_i!r}")
@@ -229,39 +225,44 @@ def one_step(
     pts = walk * lambda_i + base
     # Keep closed ball membership exact under the affine map.
     pts = pts[dists_to(pts, p_i.coords) <= lambda_i]
-    limit = len(pts)
-    if query_limit is not None:
-        limit = max(0, min(limit, query_limit - oracle.query_count))
-    rows, values = oracle._query_raw(pts, lambda_i / 2.0, limit)
-    if len(values) > 0 and values[-1] <= lambda_i / 2.0:
-        return StepOutcome("advanced", base, rows.copy(), values, oracle)
-    if len(values) < len(pts):
+    first = oracle.query_count
+    # The walk queries no row at a limit <= 0.
+    limit = len(pts) if query_limit is None else min(len(pts), query_limit - first)
+    value = oracle._walk(pts, lambda_i / 2.0, limit)
+    queried = oracle.query_count - first
+    if value is not None:
+        return StepOutcome("advanced", base, pts[:queried].copy(), first, value, oracle)
+    if queried < len(pts):
         raise QueryBudgetExceeded(f"query limit {query_limit} reached during a step")
-    return StepOutcome("guess_too_small", base, pts, values, oracle)
+    return StepOutcome("guess_too_small", base, pts, first, None, oracle)
 
 
 class _TraceBuilder:
-    """A search's vertex rows, values and phase labels, and its steps,
-    assembled into a :class:`SearchTrace` once, in ``freeze``."""
+    """A search's vertex rows, log positions and phase labels, and its
+    steps, assembled into a :class:`SearchTrace` once, in ``freeze``."""
 
-    def __init__(self, oracle, start: Point, start_value: float, label: tuple[int, int]):
+    def __init__(self, oracle):
         self.oracle = oracle
         self.rows: list[np.ndarray] = []
-        self.lambdas: list[np.ndarray] = []
+        self.index: list[np.ndarray] = []
         self.labels: list[tuple[int, int]] = []
-        self.counts: list[int] = []
         self.size = 0
         self.steps: list[tuple[int, int, tuple]] = []
-        self.extend([start.coords], [start_value], label)
 
-    def extend(self, rows, values, label):
+    def query(self, p: Point, label: tuple[int, int]) -> float:
+        """Query p, append it as a vertex under the phase label, return its value."""
+        first = self.oracle.query_count
+        value = self.oracle.query(p)
+        self.extend([p.coords], first, label)
+        return value
+
+    def extend(self, rows, first: int, label: tuple[int, int]):
         """Append vertex rows (an (n, d) array or a list of coordinate
-        tuples) with their raw prediction values under one phase label."""
+        tuples), logged from position ``first`` on, under one phase label."""
         self.rows.append(np.asarray(rows, dtype=np.float64))
-        self.lambdas.append(np.asarray(values, dtype=np.float64))
+        self.index.append(np.arange(first, first + len(rows), dtype=np.int64))
         self.labels.append(label)
-        self.counts.append(len(values))
-        self.size += len(values)
+        self.size += len(rows)
 
     def step(self, base: int, *fields):
         """Record a step whose segment runs from vertex ``base`` to the
@@ -271,6 +272,7 @@ class _TraceBuilder:
 
     def freeze(self, reached: bool, doublings: int | None) -> SearchTrace:
         rows = np.concatenate(self.rows)
+        counts = [len(index) for index in self.index]
         # A step's segment is a run of the trace's own edges. np.cumsum adds
         # them left to right, as path_length does over the segment's rows.
         edges = edge_lengths(rows)
@@ -280,8 +282,8 @@ class _TraceBuilder:
             steps.append(StepRecord(j, i, guess, lam, lam_end, length, queries, advanced))
         return SearchTrace(
             rows=rows,
-            raw_values=np.concatenate(self.lambdas),
-            phase_labels=np.repeat(np.array(self.labels, dtype=np.int64), self.counts, axis=0),
+            log_index=np.concatenate(self.index),
+            phase_labels=np.repeat(np.array(self.labels, dtype=np.int64), counts, axis=0),
             total_length=path_length(rows),
             reached=reached,
             doublings=doublings,
@@ -291,12 +293,12 @@ class _TraceBuilder:
 
 
 def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> SearchTrace:
-    d = oracle.dimension
-    p = origin(d)
-    lam = oracle.query(p)
+    p = origin(oracle.dimension)
     j = 1 if doubling else 0
     i = 0
-    builder = _TraceBuilder(oracle, p, lam, (j, i))
+    builder = _TraceBuilder(oracle)
+    at = oracle.query_count  # the log position of p
+    lam = builder.query(p, (j, i))
     reached = False
     while True:
         if lam <= config.delta_stop:
@@ -304,20 +306,18 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
             break
         if config.snap_integral and lam < 0.5:
             snapped = Point(tuple(float(round(x)) for x in p.coords))
-            value = oracle.query(snapped)
-            builder.extend([snapped.coords], [value], (j, i))
-            p, lam = snapped, value
+            value = builder.query(snapped, (j, i))
             reached = value == 0.0 or value <= config.delta_stop
             break
         guess = float(2**j) if doubling else config.c_guess
         outcome = one_step(p, lam, guess, oracle, query_limit=config.max_queries)
         base = builder.size - 1
-        values = outcome.raw_values
+        first, n = outcome.first, len(outcome.rows)
         if outcome.variant == "advanced":
-            builder.extend(outcome.rows[:-1], values[:-1], (j, i))
-            builder.extend(outcome.rows[-1:], values[-1:], (j, i + 1))
-            builder.step(base, j, i + 1, guess, lam, outcome.next_value, len(values), True)
-            p, lam = outcome.next_point, outcome.next_value
+            builder.extend(outcome.rows[:-1], first, (j, i))
+            builder.extend(outcome.rows[-1:], first + n - 1, (j, i + 1))
+            builder.step(base, j, i + 1, guess, lam, outcome.next_value, n, True)
+            p, lam, at = outcome.next_point, outcome.next_value, first + n - 1
             i += 1
         else:
             if not doubling:
@@ -325,10 +325,10 @@ def _contraction_search(oracle, config: StrategyConfig, doubling: bool) -> Searc
                     f"guess c={config.c_guess} exhausted a net without halving: "
                     f"the oracle's true factor exceeds it"
                 )
-            builder.extend(outcome.rows, values, (j, i))
+            builder.extend(outcome.rows, first, (j, i))
             # The walk returns to p, which opens the next guess's phase.
-            builder.extend([p.coords], [lam], (j + 1, i))
-            builder.step(base, j, i, guess, lam, lam, len(values), False)
+            builder.extend([p.coords], at, (j + 1, i))
+            builder.step(base, j, i, guess, lam, lam, n, False)
             j += 1
     return builder.freeze(reached, j if doubling else None)
 
@@ -365,8 +365,8 @@ def _exact_search(oracle, config: StrategyConfig) -> SearchTrace:
     """
     d = oracle.dimension
     o = origin(d)
-    lam0 = oracle.query(o)
-    builder = _TraceBuilder(oracle, o, lam0, (0, 0))
+    builder = _TraceBuilder(oracle)
+    lam0 = builder.query(o, (0, 0))
     if lam0 == 0.0:
         return builder.freeze(reached=True, doublings=None)
     offset = lam0 * config.epsilon_ratio / (2.0 * d)
@@ -375,12 +375,10 @@ def _exact_search(oracle, config: StrategyConfig) -> SearchTrace:
         coords = list(o.coords)
         coords[axis] += offset
         probe = Point(tuple(coords))
-        value = oracle.query(probe)
-        readings.append((probe, value))
-        builder.extend([probe.coords, o.coords], [value, lam0], (0, 0))
+        readings.append((probe, builder.query(probe, (0, 0))))
+        builder.extend([o.coords], builder.index[0][0], (0, 0))
     target_estimate = trilaterate(readings, d)
-    final_value = oracle.query(target_estimate)
-    builder.extend([target_estimate.coords], [final_value], (0, 1))
+    final_value = builder.query(target_estimate, (0, 1))
     reached = final_value <= max(config.delta_stop, 1e-9 * lam0)
     return builder.freeze(reached=reached, doublings=None)
 

@@ -88,8 +88,9 @@ class AdversarialInstance(QueryRecorder):
 
     Presents the oracle interface used by the strategies (query, query_rows,
     query_count, dimension, c_factor). Mutable single-owner state: one
-    instance per run. ``_answer`` measures a chunk's distances to every
-    candidate and to the origin at once and then answers its rows in order,
+    instance per run. ``_answer`` finds the rows of a chunk that lie in each
+    candidate's ball at once, eliminates at the ones in a live ball, and
+    answers every run of rows between them with ``piecewise_predictions``,
     up to the first value ``<= stop``; a single ``query`` is a one-row chunk.
 
     No memo is needed: a query that falls in a live ball removes that
@@ -112,7 +113,6 @@ class AdversarialInstance(QueryRecorder):
         self.targets = tuple(targets)
         self.ball_radius = 1.0 / self.c
         self.live: list[int] = list(range(len(targets)))
-        self._origin = origin(self.dimension)
         # centres[k] holds coordinate k of every candidate, as a column.
         self._centres = np.array([t.coords for t in targets]).T[:, :, None]
 
@@ -124,33 +124,29 @@ class AdversarialInstance(QueryRecorder):
         return None
 
     def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
-        dist_t = dists_to(rows, self._centres).T
-        near = (dist_t <= self.ball_radius).any(axis=1).tolist()
-        dist_o = dists_to(rows, self._origin.coords).tolist()
-        values = []
-        for r in range(len(rows)):
-            values.append(self._answer_row(dist_t[r], dist_o[r], near[r]))
-            if values[-1] <= stop:
-                break
-        return np.array(values)
-
-    def _answer_row(self, dist_t: np.ndarray, dist_o: float, near: bool) -> float:
-        """Answer a query from ``dist_t``, its distance to every candidate,
-        and ``dist_o``, its distance to the origin. ``near`` False says that
-        no candidate's ball holds the query."""
-        live = self.live
-        if near and len(live) > 1:
-            hits = [i for i in live if dist_t.item(i) <= self.ball_radius]
-            for i in hits:
-                if len(live) > 1:
+        # hit[r, k]: row r lies in candidate k's ball.
+        hit = dists_to(rows, self._centres).T <= self.ball_radius
+        live, answered = self.live, []
+        start = 0
+        while start < len(rows):
+            # The run's first row eliminates the live candidates whose balls
+            # hold it, in ascending index, as long as another one lives.
+            for i in np.flatnonzero(hit[start]).tolist():
+                if i in live and len(live) > 1:
                     live.remove(i)
-        if len(live) == 1:
-            # The committed target's piecewise prediction.
-            dist = dist_t.item(live[0])
-            if dist <= self.ball_radius:
-                return self.c * dist
-        # Common value shared by every live candidate's prediction function.
-        return 1.0 if dist_o <= 0.5 else 2.0 * dist_o
+            # No row of the run then lies in a live ball while several live,
+            # so every live candidate predicts the common value there; once
+            # one is left, the run runs to the end with its own prediction.
+            end = len(rows)
+            if len(live) > 1:
+                later = np.flatnonzero(hit[start + 1 :, live].any(axis=1))
+                end = start + 1 + later[0] if len(later) else end
+            values = piecewise_predictions(self.targets[live[0]], self.c, rows[start:end])
+            answered.append(values)
+            if (values <= stop).any():
+                break  # the recorder cuts the values after the first stop
+            start = end
+        return np.concatenate(answered)
 
 
 def build_adversarial_instance(c: float, d: int) -> AdversarialInstance:

@@ -553,10 +553,17 @@ def test_deferred_values_read_as_hashing_every_row(d, n, stop, limit, c_lo, c_hi
         c_hi=min(c_hi, {1: 16.0, 2: 8.0, 3: 3.0}[d]), seed=seed,
     )
     config = StrategyConfig(kind="unknown_c", delta_stop=1e-3)
-    got = run_strategy(PredictionOracle(spec), config)
+    oracle, hashed = PredictionOracle(spec), []
+    digests = oracle._digests
+    oracle._digests = lambda rows: (hashed.append(1) or h for h in digests(rows))
+    got = run_strategy(oracle, config)
     want = run_strategy(_HashEveryRow(spec), config)
     _no_nan_and_same(got.lambda_values, want.lambda_values)
     assert repr(phase_endpoints(got)) == repr(phase_endpoints(want))
+    # The trace reads its values from the log, where each deferred one is
+    # computed once, whichever view reads it first.
+    oracle.query_arrays(), oracle.memo
+    assert len(hashed) <= oracle.query_count
 
 
 @settings(deadline=None)

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 
@@ -16,12 +17,14 @@ from predsearch import (
     QueryBudgetExceeded,
     StrategyConfig,
     audit_trace,
+    build_adversarial_instance,
     distance,
     origin,
     one_step,
     path_length,
     phase_endpoints,
     point,
+    replay_consistent,
     run_strategy,
     step_length_bound,
     trilaterate,
@@ -607,6 +610,26 @@ def test_query_rows_sends_every_row_through_an_overridden_query(how, monkeypatch
     assert outcome.variant == expected.variant
     assert _log_bits(oracle) == _log_bits(plain)
     assert _bits(oracle.memo.items()) == _bits(plain.memo.items())
+
+
+@pytest.mark.parametrize("kind", ["seeded_noise", "adversary"])
+def test_writes_into_trace_and_step_values_leave_the_log_alone(kind):
+    # Traces and steps read their values from the oracle's log; what they
+    # hand out is not a writable view of it.
+    if kind == "adversary":
+        oracle = build_adversarial_instance(8.0, 2)
+        config = StrategyConfig(kind="known_c", c_guess=8.0)
+    else:
+        oracle = make_oracle("seeded_noise", point(0.9, -1.3), c=16.0, seed=3)
+        config = StrategyConfig(kind="unknown_c", delta_stop=1e-3)
+    trace = run_strategy(oracle, config)
+    step = one_step(origin(2), trace.lambda_values[0], 16.0, oracle)
+    before = _log_bits(oracle), _bits(oracle.memo.items())
+    for values in (trace.lambda_values, step.values):
+        with contextlib.suppress(ValueError):  # a read-only array refuses
+            values[:] = -1.0
+    assert (_log_bits(oracle), _bits(oracle.memo.items())) == before
+    assert kind == "seeded_noise" or replay_consistent(oracle)
 
 
 def test_search_trace_views_match_rows():

@@ -318,7 +318,7 @@ class _PerRowAdversary(AdversarialInstance):
 @st.composite
 def _adversary_batches(draw):
     c = draw(st.sampled_from([6.0, 8.0, 12.0]))
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 3))
     targets = build_adversarial_instance(c, d).targets
     coord = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.6, 0.6))
     seen = [np.zeros(d)]
