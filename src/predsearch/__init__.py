@@ -15,6 +15,7 @@ from .geometry import (
     origin,
     path_length,
     point,
+    sample_in_ball,
 )
 from .nets import (
     CandidateCapExceeded,
@@ -25,7 +26,6 @@ from .nets import (
     check_separation,
     net_size_lower_bound,
     net_size_upper_bound,
-    sample_in_ball,
     separated_set,
     visit_order,
 )

@@ -22,17 +22,16 @@ import os
 import pickle
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import reduce
 from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import Ball, Point, cumulative_lengths, origin
+from .geometry import MAX_SCALE, MIN_SCALE, Ball, Point, cumulative_lengths, origin
 from .nets import (
-    MAX_SCALE,
-    MIN_SCALE,
+    CANDIDATE_CAP,
     CandidateCapExceeded,
     build_net,
     check_covering,
@@ -97,6 +96,18 @@ def _sample_target(d: int, radius: float, seed: int) -> Point:
     return Point(tuple(direction * r))
 
 
+def _section(cls, name: str, doc: dict, **given):
+    """The config section ``doc`` as a ``cls``: its keys name fields other
+    than the ``given`` ones, and a field it leaves out takes its default."""
+    unknown = sorted(set(doc) - {f.name for f in fields(cls)}.difference(given))
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {unknown}")
+    try:
+        return cls(**doc, **given)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} config: {exc}") from exc
+
+
 def parse_run_config(doc: dict) -> RunConfig:
     try:
         d = doc["d"]
@@ -123,38 +134,15 @@ def parse_run_config(doc: dict) -> RunConfig:
             raise ConfigError(f"bad target: {exc}") from exc
     if target.dimension != d:
         raise ConfigError(f"target dimension {target.dimension} != d = {d}")
-    try:
-        oracle_spec = OracleSpec(
-            kind=oracle_doc.pop("kind"),
-            target=target,
-            c_hi=oracle_doc.pop("c_hi", 1.0),
-            c_lo=oracle_doc.pop("c_lo", 1.0),
-            seed=oracle_doc.pop("seed", derive_seed(seed, "oracle")),
-            alpha=oracle_doc.pop("alpha", None),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad oracle config: {exc}") from exc
-    if oracle_doc:
-        raise ConfigError(f"unknown oracle keys: {sorted(oracle_doc)}")
+    oracle_doc = {"seed": derive_seed(seed, "oracle"), **oracle_doc}
+    oracle_spec = _section(OracleSpec, "oracle", oracle_doc, target=target)
     norm, c_hi = math.hypot(*target.coords), oracle_spec.c_hi
     if norm != 0.0 and not (MIN_SCALE <= norm and c_hi * norm <= MAX_SCALE):
         raise ConfigError(
             f"a nonzero target needs 2^-500 <= |ot| and c_hi*|ot| <= 2^500, "
             f"got |ot| = {norm!r}, c_hi = {c_hi!r}"
         )
-    try:
-        strategy = StrategyConfig(
-            kind=strategy_doc.pop("kind"),
-            c_guess=strategy_doc.pop("c_guess", 1.0),
-            delta_stop=strategy_doc.pop("delta_stop", 1e-3),
-            epsilon_ratio=strategy_doc.pop("epsilon_ratio", 0.01),
-            snap_integral=strategy_doc.pop("snap_integral", False),
-            max_queries=strategy_doc.pop("max_queries", 10_000_000),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad strategy config: {exc}") from exc
-    if strategy_doc:
-        raise ConfigError(f"unknown strategy keys: {sorted(strategy_doc)}")
+    strategy = _section(StrategyConfig, "strategy", strategy_doc)
     if strategy.kind == "exact_c1":
         exact = oracle_spec.kind == "exact" or (
             oracle_spec.c_lo == 1.0 and oracle_spec.c_hi == 1.0
@@ -227,7 +215,7 @@ def cmd_run(args) -> int:
     if args.svg is not None:
         _write(args.svg, render_svg(trace, target=cfg.target))
     _print_summary(report)
-    return 0 if report.reached and not report.violations else 1
+    return 0 if not report.violations else 1
 
 
 # The sweep CSV's columns, in order. A summary row leaves the per-trial
@@ -258,7 +246,7 @@ def _sweep_trial(d: int, c: float, trial: int, seed: int, delta: float):
         trace = run_strategy(oracle, config)
         report = audit_trace(trace, target, config, oracle)
         bound = report.bound_upper_known if kind == "known_c" else report.bound_upper_unknown
-        ok = report.reached and not report.violations
+        ok = not report.violations
         rows.append(
             SweepRow(
                 row_type="trial",
@@ -430,14 +418,13 @@ def cmd_lowerbound(args) -> int:
     committed = instance.committed
     target = committed if committed is not None else instance.targets[instance.live[0]]
     report = audit_trace(trace, target, config, instance, instance=instance)
-    violations = list(report.violations)
     replay_ok = replay_consistent(instance)
     if not replay_ok:
-        violations.append("query log replay against the committed target mismatched")
+        mismatch = "query log replay against the committed target mismatched"
+        report = replace(report, violations=(*report.violations, mismatch))
     payload = report.to_dict()
     payload["replay_ok"] = replay_ok
     payload["committed_target"] = None if committed is None else list(committed.coords)
-    payload["violations"] = violations
     _write(args.report, _report_json(payload))
     if args.svg is not None:
         _write(args.svg, render_svg(trace, target=target, instance=instance))
@@ -446,12 +433,17 @@ def cmd_lowerbound(args) -> int:
         f"adversary: {report.n_targets} candidate balls, visited={report.balls_visited}, "
         f"replay_ok={replay_ok}"
     )
-    return 0 if report.reached and not violations else 1
+    return 0 if not report.violations else 1
 
 
 def cmd_net(args) -> int:
     if args.d < 1 or args.samples < 1 or args.seed < 0:
         raise ConfigError("need d >= 1, samples >= 1 and seed >= 0")
+    if args.check and args.samples * args.d > CANDIDATE_CAP:
+        raise ConfigError(
+            f"samples * d = {args.samples * args.d} sample coordinates exceed the cap of "
+            f"{CANDIDATE_CAP}"
+        )
     if not MIN_SCALE <= args.eps <= args.r <= MAX_SCALE:
         raise ConfigError(f"need 2^-500 <= eps <= r <= 2^500, got eps={args.eps!r}, r={args.r!r}")
     net = build_net(Ball(origin(args.d), args.r), args.eps)
@@ -498,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c", type=float, nargs="+", required=True)
     p_sweep.add_argument("--trials", type=int, required=True)
     p_sweep.add_argument("--seed", type=int, required=True)
-    p_sweep.add_argument("--delta", type=float, default=1e-3)
+    p_sweep.add_argument("--delta", type=float, default=StrategyConfig.delta_stop)
     p_sweep.add_argument("--out", required=True, help="sweep CSV path")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -506,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lb.add_argument("--c", type=float, required=True)
     p_lb.add_argument("--d", type=int, required=True)
     p_lb.add_argument("--strategy", default="unknown_c")
-    p_lb.add_argument("--delta", type=float, default=1e-3)
+    p_lb.add_argument("--delta", type=float, default=StrategyConfig.delta_stop)
     p_lb.add_argument("--report", default=None, help="report JSON path")
     p_lb.add_argument("--svg", default=None, help="SVG path (d=2 only)")
     p_lb.set_defaults(func=cmd_lowerbound)

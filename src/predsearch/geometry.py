@@ -18,11 +18,18 @@ __all__ = [
     "point",
     "origin",
     "distance",
+    "dists_to",
     "contains",
+    "sample_in_ball",
     "edge_lengths",
     "cumulative_lengths",
     "path_length",
 ]
+
+# The range of lengths the CLI accepts, [2^-500, 2^500]: squared distances
+# then stay normal floats, as a coordinate difference below ~2^-511 squares
+# to 0 and drops out of the distance, and one above 2^512 squares to inf.
+MIN_SCALE, MAX_SCALE = 2.0**-500, 2.0**500
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,8 @@ def distance(p: Point, q: Point) -> float:
     """Euclidean distance |pq|.
 
     Squared differences are accumulated coordinate by coordinate; the
-    vectorized helpers in the net module follow the same order so scalar and
-    array code agree bit for bit.
+    array kernel :func:`dists_to` follows the same order so scalar and array
+    code agree bit for bit.
     """
     _check_same_dimension(p, q)
     acc = 0.0
@@ -93,21 +100,50 @@ def distance(p: Point, q: Point) -> float:
     return math.sqrt(acc)
 
 
+def dists_to(arr: np.ndarray, coords) -> np.ndarray:
+    """Distances from every row of ``arr`` to ``coords``.
+
+    Accumulates squared differences coordinate by coordinate, matching the
+    scalar :func:`distance` bit for bit. ``coords[k]`` may be an array that
+    broadcasts against ``arr[:, k]``, as for the distances from every row to
+    several points at once.
+    """
+    # The first square starts the sum, as 0.0 + x == x.
+    diff = arr[:, 0] - coords[0]
+    acc = diff * diff
+    for k in range(1, arr.shape[1]):
+        diff = arr[:, k] - coords[k]
+        acc += diff * diff
+    return np.sqrt(acc)
+
+
 def contains(ball: Ball, p: Point) -> bool:
     """Closed membership test: boundary points count as inside."""
     _check_same_dimension(ball.center, p)
     return distance(ball.center, p) <= ball.radius
 
 
+def sample_in_ball(rng: np.random.Generator, ball: Ball, n: int) -> np.ndarray:
+    """Uniform samples in the closed ball via rejection from the bounding cube."""
+    if n < 1:
+        raise ValueError("need at least one sample")
+    d = ball.dimension
+    out = np.empty((n, d), dtype=np.float64)
+    got = 0
+    batch = max(256, n)
+    while got < n:
+        cand = rng.uniform(-ball.radius, ball.radius, size=(batch, d))
+        keep = cand[dists_to(cand, (0.0,) * d) <= ball.radius]
+        take = min(len(keep), n - got)
+        out[got : got + take] = keep[:take]
+        got += take
+    return out + np.array(ball.center.coords, dtype=np.float64)
+
+
 def edge_lengths(rows: np.ndarray) -> np.ndarray:
     """Length of every edge of the polyline through the rows of an (n, d)
-    array, each equal to :func:`distance` between its ends bit for bit: the
-    squared coordinate differences accumulate in order, as there."""
-    acc = np.zeros(max(len(rows) - 1, 0), dtype=np.float64)
-    for k in range(rows.shape[1]):
-        diff = rows[:-1, k] - rows[1:, k]
-        acc += diff * diff
-    return np.sqrt(acc)
+    array, each equal to :func:`distance` between its ends bit for bit."""
+    return dists_to(rows[:-1], rows[1:].T)
 
 
 def cumulative_lengths(rows: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Point
+from .geometry import MIN_SCALE, Ball, Point, dists_to, sample_in_ball
 
 __all__ = [
     "Net",
@@ -37,17 +37,14 @@ __all__ = [
     "separated_set",
     "net_size_lower_bound",
     "net_size_upper_bound",
-    "sample_in_ball",
 ]
 
 # Most lattice cube cells a net or separated set may need; more raise
-# CandidateCapExceeded before anything is allocated.
+# CandidateCapExceeded before anything is allocated. `net --check` also
+# draws at most this many sample coordinates (samples * d), as
+# sample_in_ball holds a few float64 arrays of that size; more exit 2
+# before any work.
 CANDIDATE_CAP = 5_000_000
-
-# The range of lengths the CLI accepts, [2^-500, 2^500]: squared distances
-# then stay normal floats, as a coordinate difference below ~2^-511 squares
-# to 0 and drops out of the distance, and one above 2^512 squares to inf.
-MIN_SCALE, MAX_SCALE = 2.0**-500, 2.0**500
 
 # A pair at dists_to distance below h / _BLOCK_GUARD lies in neighbouring
 # cells of side h (see _CellGrid): the guard absorbs the rounding of the
@@ -112,23 +109,6 @@ class CoverReport:
     max_gap: float
     ok: bool
     samples: int
-
-
-def dists_to(arr: np.ndarray, coords) -> np.ndarray:
-    """Distances from every row of ``arr`` to ``coords``.
-
-    Accumulates squared differences coordinate by coordinate, matching the
-    scalar :func:`predsearch.geometry.distance` bit for bit. ``coords[k]``
-    may be an array that broadcasts against ``arr[:, k]``, as for the
-    distances from every row to several points at once.
-    """
-    # The first square starts the sum, as 0.0 + x == x.
-    diff = arr[:, 0] - coords[0]
-    acc = diff * diff
-    for k in range(1, arr.shape[1]):
-        diff = arr[:, k] - coords[k]
-        acc += diff * diff
-    return np.sqrt(acc)
 
 
 def _count_text(base: int, exponent: int) -> str:
@@ -520,23 +500,6 @@ def visit_order(net: Net, start: Point) -> np.ndarray:
     rows = net.rows[_visit_indices(net.rows, start.coords)]
     rows.flags.writeable = False
     return rows
-
-
-def sample_in_ball(rng: np.random.Generator, ball: Ball, n: int) -> np.ndarray:
-    """Uniform samples in the closed ball via rejection from the bounding cube."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    d = ball.dimension
-    out = np.empty((n, d), dtype=np.float64)
-    got = 0
-    batch = max(256, n)
-    while got < n:
-        cand = rng.uniform(-ball.radius, ball.radius, size=(batch, d))
-        keep = cand[dists_to(cand, (0.0,) * d) <= ball.radius]
-        take = min(len(keep), n - got)
-        out[got : got + take] = keep[:take]
-        got += take
-    return out + np.array(ball.center.coords, dtype=np.float64)
 
 
 def _nearest_distances(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:

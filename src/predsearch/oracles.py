@@ -17,8 +17,7 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .geometry import Ball, Point, distance, origin
-from .nets import dists_to, sample_in_ball
+from .geometry import Ball, Point, distance, dists_to, origin, sample_in_ball
 
 __all__ = [
     "ORACLE_KINDS",
@@ -293,21 +292,17 @@ class PredictionOracle(QueryRecorder):
         # A factor c_lo + span * u is >= c_lo, as rounding is monotone, so
         # only a candidate, a row with c_lo * |pt| <= stop, can stop. They are
         # hashed in order up to the first value <= stop, the Python-float
-        # value being the numpy one bit for bit (int / float rounds u as
-        # numpy does); every other row of the prefix is deferred.
+        # value being that of ``_values`` bit for bit (int / float rounds u
+        # as numpy does); every other row of the prefix is deferred.
         dist = dists_to(rows, spec.target.coords)
         lo, span = spec.c_lo, spec.c_hi - spec.c_lo
         values = np.full(len(rows), math.nan)
         candidates = np.flatnonzero(lo * dist <= stop)
-        digests: list[bytes] = []
         for k, digest in zip(candidates.tolist(), self._digests(rows[candidates])):
-            digests.append(digest)
-            if (lo + span * (int.from_bytes(digest, "little") / 2.0**64)) * dist.item(k) <= stop:
-                values = values[: k + 1]
-                break
-        hashed = candidates[: len(digests)]
-        u = np.frombuffer(b"".join(digests), dtype="<u8") / 2.0**64
-        values[hashed] = (lo + span * u) * dist[hashed]
+            value = (lo + span * (int.from_bytes(digest, "little") / 2.0**64)) * dist.item(k)
+            values[k] = value
+            if value <= stop:
+                return values[: k + 1]
         return values
 
     def _noise_draws(self, rows: np.ndarray) -> np.ndarray:

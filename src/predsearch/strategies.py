@@ -17,8 +17,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Point, edge_lengths, origin, path_length
-from .nets import build_net, dists_to, visit_order
+from .geometry import Ball, Point, dists_to, edge_lengths, origin, path_length
+from .nets import build_net, visit_order
 from .oracles import QueryRecorder
 
 __all__ = [

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .geometry import Ball, Point, distance, origin
-from .nets import dists_to, separated_set
+from .geometry import Ball, Point, distance, dists_to, origin
+from .nets import separated_set
 from .oracles import QueryRecorder, piecewise_predictions
 from .strategies import SearchTrace, StrategyConfig, step_length_bound
 

@@ -13,7 +13,7 @@ import pytest
 
 import predsearch
 from predsearch import point, render_svg, run_strategy
-from predsearch.cli import _random_direction, main
+from predsearch.cli import _random_direction, derive_seed, main, parse_run_config
 from predsearch.nets import dists_to
 from predsearch.oracles import OracleSpec, PredictionOracle, QueryRecorder
 from predsearch.strategies import GuessTooSmallError, StrategyConfig
@@ -142,6 +142,7 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
         ("strategy", "max_queries", 20.0),
         ("strategy", "max_queries", True),
         ("oracle", "c_hi", math.inf),
+        ("oracle", "c_hi", 10**400),
         ("strategy", "snap_integral", "no"),
         ("strategy", "snap_integral", 1),
         ("oracle", "seed", 1.5),
@@ -155,14 +156,38 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
         (None, "d", "2"),
         (None, "seed", 7.9),
         (None, "seed", True),
+        # A key that is no field of the section, and the oracle's target,
+        # which only the config's top level gives.
+        ("oracle", "bogus", 1),
+        ("strategy", "bogus", 1),
+        ("oracle", "target", [0.6, 0.8]),
+        # A section without its kind.
+        ("oracle", "kind", None),
+        ("strategy", "kind", None),
     ]:
         doc = json.loads(json.dumps(RUN_CONFIG))
         (doc if section is None else doc[section])[key] = bad
         if key == "target_radius":
             doc["target"] = "random"
+        if key == "kind":
+            del doc[section]["kind"]
         capsys.readouterr()
         assert main(["run", "--config", write_config(tmp_path, doc)]) == 2, (key, bad)
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_config_section_takes_its_class_defaults_and_the_derived_oracle_seed():
+    doc = {
+        "d": 2,
+        "seed": 7,
+        "target": [0.6, 0.8],
+        "oracle": {"kind": "exact"},
+        "strategy": {"kind": "known_c"},
+    }
+    cfg = parse_run_config(doc)
+    target = point(0.6, 0.8)
+    assert cfg.oracle_spec == OracleSpec(kind="exact", target=target, seed=derive_seed(7, "oracle"))
+    assert cfg.strategy == StrategyConfig(kind="known_c")
 
 
 def test_run_guess_too_small_exits_1(tmp_path):
@@ -499,6 +524,16 @@ def test_lowerbound_small_instance(tmp_path):
     assert report["total_length"] >= report["path_floor"]
 
 
+def test_lowerbound_prints_every_violation_of_its_report(tmp_path, capsys):
+    # At --delta 1 the search stops at o after one query, before the
+    # adversary commits, so the replay fails along with the audit's floors.
+    rep = tmp_path / "lb.json"
+    assert main(["lowerbound", "--c", "24", "--d", "2", "--delta", "1", "--report", str(rep)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"VIOLATION: {v}" for v in json.loads(rep.read_text())["violations"]]
+    assert "VIOLATION: query log replay against the committed target mismatched" in err
+
+
 def test_lowerbound_rejects_small_c():
     assert main(["lowerbound", "--c", "4", "--d", "1"]) == 2
 
@@ -538,6 +573,8 @@ def test_net_rejects_eps_above_r():
         ["lowerbound", "--c", "8", "--d", "2", "--delta", "inf"],
         ["net", "--d", "2", "--r", "inf", "--eps", "0.5"],
         ["net", "--d", "2", "--eps", "0.3", "--check", "--seed", "-1"],
+        # samples * d past CANDIDATE_CAP: ~15 GiB of samples.
+        ["net", "--d", "2", "--eps", "0.5", "--check", "--samples", "1000000000"],
     ],
 )
 def test_invalid_numbers_exit_2(argv, tmp_path, capsys):
