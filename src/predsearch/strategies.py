@@ -66,6 +66,12 @@ class StrategyConfig:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        for name in ("c_guess", "delta_stop", "epsilon_ratio"):
+            value = getattr(self, name)
+            if isinstance(value, str):  # which float() would parse
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            # An int past the float range raises OverflowError here.
+            object.__setattr__(self, name, float(value))
         if not 1.0 <= self.c_guess < math.inf:
             raise ValueError("c_guess must be finite and >= 1")
         if not 0.0 < self.delta_stop < math.inf:

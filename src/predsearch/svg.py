@@ -58,9 +58,12 @@ def render_svg(
                 f'r="{_fmt(instance.ball_radius * scale)}" '
                 f'fill="none" stroke="#bbbbbb" stroke-width="1"/>'
             )
-    coords = " ".join(
-        f"{_fmt(px)},{_fmt(py)}" for px, py in (to_canvas(x, y) for x, y in zip(xs, ys))
-    )
+    # to_canvas on every row at once, in the same order of operations; '%.6g'
+    # formats a float as _fmt does.
+    canvas = (trace.rows - (lo_x, lo_y)) * scale
+    canvas[:, 0] += MARGIN
+    canvas[:, 1] = CANVAS - MARGIN - canvas[:, 1]
+    coords = " ".join(["%.6g,%.6g"] * len(canvas)) % tuple(canvas.ravel().tolist())
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
     )

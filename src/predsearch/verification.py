@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .geometry import Ball, Point, distance, dists_to, origin
-from .nets import separated_set
+from .nets import _CellGrid, _pair_distances, _pairs, separated_set
 from .oracles import QueryRecorder, piecewise_predictions
 from .strategies import SearchTrace, StrategyConfig, step_length_bound
 
@@ -177,26 +177,46 @@ def replay_consistent(instance: AdversarialInstance) -> bool:
     return bool(np.array_equal(piecewise_predictions(committed, instance.c, rows), values))
 
 
+def _segment_gaps2(starts: np.ndarray, deltas: np.ndarray, len2: np.ndarray, z) -> np.ndarray:
+    """Squared gap from ``z`` (a point or one row per segment) to the closest
+    point of each segment ``starts + t * deltas``, t in [0, 1]; ``len2`` holds
+    the squared segment lengths."""
+    t = np.einsum("ij,ij->i", z - starts, deltas) / np.where(len2 > 0.0, len2, 1.0)
+    t = np.clip(np.where(len2 > 0.0, t, 0.0), 0.0, 1.0)
+    closest = starts + t[:, None] * deltas
+    return np.einsum("ij,ij->i", closest - z, closest - z)
+
+
 def count_visited_balls(verts: np.ndarray, centers, radius: float) -> int:
     """How many of the balls the polyline through the (n, d) vertex rows
-    reaches: a ball counts when some segment passes strictly inside it."""
-    if len(verts) == 1:
-        starts = verts
-        ends = verts
-    else:
-        starts = verts[:-1]
-        ends = verts[1:]
+    reaches: a ball counts when some segment passes strictly inside it.
+
+    A ball's witness is the one or two segments at the vertex nearest its
+    centre in the centre's 3^d block of a cell grid of side ``radius``; only
+    a ball that they do not reach gets the scan of every segment. Each
+    segment's gap is the same either way, so the count is that of the scan.
+    """
+    starts, ends = (verts, verts) if len(verts) == 1 else (verts[:-1], verts[1:])
     deltas = ends - starts
     len2 = np.einsum("ij,ij->i", deltas, deltas)
-    safe_len2 = np.where(len2 > 0.0, len2, 1.0)
-    visited = 0
-    for center in centers:
-        z = np.array(center.coords, dtype=np.float64)
-        t = np.einsum("ij,ij->i", z - starts, deltas) / safe_len2
-        t = np.clip(np.where(len2 > 0.0, t, 0.0), 0.0, 1.0)
-        closest = starts + t[:, None] * deltas
-        gap2 = np.einsum("ij,ij->i", closest - z, closest - z)
-        if np.min(gap2) < radius * radius:
+    z = np.array([center.coords for center in centers], dtype=np.float64)
+    z = z.reshape(len(z), verts.shape[1])
+    grid = _CellGrid(verts, radius if radius > 0.0 else 0.0)  # and for a nan radius
+    nearest = np.full(len(z), -1)
+    for first, size, p in _pairs(*grid.block(grid.cell_keys(z))):
+        # Each centre's pairs are adjacent: the first of its group, ranked
+        # by distance, is its nearest vertex.
+        owner = np.repeat(np.arange(len(size)), size)
+        dist = _pair_distances(grid, p, z[first : first + len(size)].T, size)
+        heads = (np.cumsum(size) - size)[size > 0]
+        nearest[first + np.flatnonzero(size)] = grid.order[p[np.lexsort((dist, owner))[heads]]]
+    # The segments ending and starting at the nearest vertex.
+    seg = np.clip(np.concatenate([nearest - 1, nearest]), 0, len(starts) - 1)
+    gaps2 = _segment_gaps2(starts[seg], deltas[seg], len2[seg], np.concatenate([z, z]))
+    witnessed = (nearest >= 0) & (gaps2.reshape(2, -1).min(axis=0) < radius * radius)
+    visited = int(np.count_nonzero(witnessed))
+    for center in z[~witnessed]:
+        if np.min(_segment_gaps2(starts, deltas, len2, center)) < radius * radius:
             visited += 1
     return visited
 

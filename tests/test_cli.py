@@ -7,9 +7,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import predsearch
 from predsearch import point, render_svg, run_strategy
@@ -139,6 +142,11 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
         ("strategy", "c_guess", math.inf),
         ("strategy", "c_guess", "2"),
         ("strategy", "max_queries", math.inf),
+        # An int past the float range crashed the walk (c_guess) or "reached"
+        # the target with length 0 (delta_stop).
+        ("strategy", "c_guess", 10**400),
+        ("strategy", "delta_stop", 10**400),
+        ("strategy", "epsilon_ratio", 10**400),
         ("strategy", "max_queries", 20.0),
         ("strategy", "max_queries", True),
         ("oracle", "c_hi", math.inf),
@@ -773,6 +781,91 @@ def test_random_direction_draws_again_after_a_zero_draw():
     draw = np.random.default_rng(5).normal(size=4)
     direction = _random_direction(np.random.default_rng(5), 4)
     assert direction.tolist() == (draw / math.sqrt(float(draw @ draw))).tolist()
+
+
+def _reference_render_svg(trace, target=None, instance=None):
+    """render_svg as it formatted the polyline before, row by row."""
+
+    def _fmt(x):
+        return format(float(x), ".6g")
+
+    side, margin = 1000.0, 40.0
+    xs = trace.rows[:, 0].tolist()
+    ys = trace.rows[:, 1].tolist()
+    extra = []
+    if target is not None:
+        extra.append((target.coords[0], target.coords[1], 0.0))
+    if instance is not None:
+        for t in instance.targets:
+            extra.append((t.coords[0], t.coords[1], instance.ball_radius))
+    lo_x = min(xs + [e[0] - e[2] for e in extra])
+    hi_x = max(xs + [e[0] + e[2] for e in extra])
+    lo_y = min(ys + [e[1] - e[2] for e in extra])
+    hi_y = max(ys + [e[1] + e[2] for e in extra])
+    span = max(hi_x - lo_x, hi_y - lo_y, 1e-12)
+    scale = (side - 2.0 * margin) / span
+
+    def to_canvas(x, y):
+        return (margin + (x - lo_x) * scale, side - margin - (y - lo_y) * scale)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_fmt(side)}" height="{_fmt(side)}" '
+        f'viewBox="0 0 {_fmt(side)} {_fmt(side)}">',
+        f'<rect x="0" y="0" width="{_fmt(side)}" height="{_fmt(side)}" fill="white"/>',
+    ]
+    if instance is not None:
+        for t in instance.targets:
+            cx, cy = to_canvas(t.coords[0], t.coords[1])
+            parts.append(
+                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                f'r="{_fmt(instance.ball_radius * scale)}" '
+                f'fill="none" stroke="#bbbbbb" stroke-width="1"/>'
+            )
+    coords = " ".join(
+        f"{_fmt(px)},{_fmt(py)}" for px, py in (to_canvas(x, y) for x, y in zip(xs, ys))
+    )
+    parts.append(
+        f'<polyline points="{coords}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
+    )
+    sx, sy = to_canvas(xs[0], ys[0])
+    parts.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" r="6" fill="#2ca02c"/>')
+    ex, ey = to_canvas(xs[-1], ys[-1])
+    parts.append(
+        f'<circle cx="{_fmt(ex)}" cy="{_fmt(ey)}" r="5" fill="none" '
+        f'stroke="#1f77b4" stroke-width="2"/>'
+    )
+    if target is not None:
+        tx, ty = to_canvas(target.coords[0], target.coords[1])
+        parts.append(
+            f'<path d="M{_fmt(tx - 7)} {_fmt(ty)} L{_fmt(tx + 7)} {_fmt(ty)} '
+            f'M{_fmt(tx)} {_fmt(ty - 7)} L{_fmt(tx)} {_fmt(ty + 7)}" '
+            f'stroke="#d62728" stroke-width="2"/>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# Search traces stay within 2^500 of the origin; up to 1e300, no canvas
+# coordinate overflows.
+_svg_coord = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]) | st.floats(-1e300, 1e300)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.tuples(_svg_coord, _svg_coord), min_size=1, max_size=30),
+    st.none() | st.tuples(_svg_coord, _svg_coord),
+    st.lists(st.tuples(_svg_coord, _svg_coord), max_size=4),
+    st.sampled_from([0.5, 1e-300, 1e300]),
+)
+def test_svg_polyline_matches_the_row_by_row_rendering(rows, target, centres, radius):
+    # render_svg reads only the trace's rows and dimension and the
+    # instance's targets and ball radius.
+    trace = SimpleNamespace(rows=np.array(rows, dtype=np.float64), dimension=2)
+    target = None if target is None else point(*target)
+    instance = SimpleNamespace(targets=[point(*c) for c in centres], ball_radius=radius)
+    for inst in (None, instance):
+        assert render_svg(trace, target, inst) == _reference_render_svg(trace, target, inst)
 
 
 def test_svg_requires_d2():

@@ -544,6 +544,23 @@ def test_visit_order_matches_reference_on_clustered_clouds():
         assert visit_order(net, start).tolist() == _reference_order(net, start).tolist()
 
 
+def test_visit_order_matches_reference_on_a_clustered_d3_cloud(monkeypatch):
+    # Six far-apart clusters of 2,000 rows in all: leaving a cluster while
+    # more than 9^3 rows are unvisited searches blocks of radius 4 or more.
+    radii = set()
+    runs_within = nets._CellGrid.runs_within
+    monkeypatch.setattr(
+        nets._CellGrid, "runs_within", lambda grid, r: radii.add(r) or runs_within(grid, r)
+    )
+    rng = np.random.default_rng(3)
+    centres = rng.uniform(-60.0, 60.0, (6, 3))
+    rows = np.round(centres[rng.integers(0, 6, 2000)] + rng.normal(size=(2000, 3)) * 2.0, 2)
+    net = Net(rows=rows, ball=Ball(origin(3), 200.0), cover_radius=200.0, separation=0.0)
+    start = Point(rows[0])
+    assert visit_order(net, start).tolist() == _reference_order(net, start).tolist()
+    assert max(radii) >= 4
+
+
 def test_visit_order_matches_reference_on_clouds_with_far_outliers():
     # A dense cluster and a few outliers out to ~30 radii, walked from the
     # first row or from the farthest one: the nearest unvisited row is often

@@ -62,6 +62,16 @@ def test_config_validation():
             StrategyConfig(kind="known_c", delta_stop=bad)
         with pytest.raises(ValueError):
             StrategyConfig(kind="exact_c1", epsilon_ratio=bad)
+    # An int past the float range once reached the walk, or a comparison
+    # with inf that it passes; the fields hold floats.
+    for name in ("c_guess", "delta_stop", "epsilon_ratio"):
+        with pytest.raises(OverflowError):
+            StrategyConfig(kind="known_c", **{name: 10**400})
+        with pytest.raises(ValueError):
+            StrategyConfig(kind="known_c", **{name: "2"})
+    config = StrategyConfig(kind="known_c", c_guess=2, delta_stop=1, epsilon_ratio=1)
+    values = (config.c_guess, config.delta_stop, config.epsilon_ratio)
+    assert [type(x) for x in values] == [float] * 3
     # A float limit once reached the slicing of the step's rows, and a JSON
     # true ran with a limit of one query.
     for bad in (math.nan, math.inf, 20.0, 0, True):

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predsearch import (
@@ -30,6 +30,7 @@ from predsearch import (
     run_strategy,
     tsp_ball_lower_bound,
 )
+from predsearch import verification
 from predsearch.strategies import _unit_walk
 
 
@@ -201,6 +202,85 @@ def test_count_visited_balls():
     assert count_visited_balls(tangent, [point(0.0, 0.0)], 0.1) == 0
     single = rows(point(0.0, 0.0))
     assert count_visited_balls(single, centers, 0.1) == 1
+    # No ball of radius 0 or nan holds a point.
+    for radius in (0.0, math.nan):
+        assert count_visited_balls(path, centers, radius) == 0
+
+
+def _reference_count_visited_balls(verts, centers, radius):
+    """The scan of every segment for every ball, as count_visited_balls ran
+    before it looked for a witness segment first."""
+    if len(verts) == 1:
+        starts = verts
+        ends = verts
+    else:
+        starts = verts[:-1]
+        ends = verts[1:]
+    deltas = ends - starts
+    len2 = np.einsum("ij,ij->i", deltas, deltas)
+    safe_len2 = np.where(len2 > 0.0, len2, 1.0)
+    visited = 0
+    for center in centers:
+        z = np.array(center.coords, dtype=np.float64)
+        t = np.einsum("ij,ij->i", z - starts, deltas) / safe_len2
+        t = np.clip(np.where(len2 > 0.0, t, 0.0), 0.0, 1.0)
+        closest = starts + t[:, None] * deltas
+        gap2 = np.einsum("ij,ij->i", closest - z, closest - z)
+        if np.min(gap2) < radius * radius:
+            visited += 1
+    return visited
+
+
+@st.composite
+def _polylines_and_balls(draw):
+    # Half-integer grids put vertices exactly on spheres and repeat vertices
+    # (zero-length segments); the midpoints of long segments give balls that
+    # only a segment passing through reaches.
+    # A centre one radius from a vertex along an axis puts that vertex on
+    # its sphere.
+    d = draw(st.integers(1, 3))
+    grid = st.integers(-8, 8).map(lambda x: x / 2)
+    coord = grid | st.floats(-5.0, 5.0, allow_subnormal=False)
+    verts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=40))
+    radius = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.5]) | st.floats(0.01, 4.0))
+    midpoints = [tuple((a + b) / 2 for a, b in zip(u, v)) for u, v in zip(verts, verts[1:])]
+    on_sphere = [
+        v[:k] + (v[k] + sign * radius,) + v[k + 1 :]
+        for v in verts
+        for k in range(d)
+        for sign in (-1.0, 1.0)
+    ]
+    centre = st.tuples(*[coord] * d) | st.sampled_from(verts + midpoints + on_sphere)
+    centres = draw(st.lists(centre, max_size=12))
+    return np.array(verts, dtype=np.float64), [Point(c) for c in centres], radius
+
+
+@settings(deadline=None, max_examples=300)
+@given(_polylines_and_balls())
+@example((np.array([[1.0, 0.0]]), [Point((0.0, 0.0))], 1.0))
+@example((np.array([[-1.0, 0.5], [1.0, 0.5]]), [Point((0.0, 0.0))], 0.5))
+def test_count_visited_balls_matches_the_scan_of_every_segment(case):
+    verts, centres, radius = case
+    assert count_visited_balls(verts, centres, radius) == _reference_count_visited_balls(
+        verts, centres, radius
+    )
+
+
+def test_count_visited_balls_scans_no_ball_of_the_adversarial_run(monkeypatch):
+    # Every candidate ball of the c = 24 run holds a trace vertex, whose
+    # segments are its witness: no call measures the whole trace.
+    instance = build_adversarial_instance(24.0, 2)
+    trace = run_strategy(instance, StrategyConfig(kind="known_c", c_guess=24.0))
+    sizes = []
+    gaps2 = verification._segment_gaps2
+    monkeypatch.setattr(
+        verification,
+        "_segment_gaps2",
+        lambda starts, *rest: sizes.append(len(starts)) or gaps2(starts, *rest),
+    )
+    counted = count_visited_balls(trace.rows, instance.targets, instance.ball_radius)
+    assert counted == len(instance.targets) == 26
+    assert sizes == [2 * 26]
 
 
 def _run_lowerbound(c, d):
