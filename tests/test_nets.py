@@ -528,36 +528,35 @@ def test_visit_order_matches_reference_on_grid_clouds(case):
     assert sorted(order) == sorted(net.rows.tolist())
 
 
-def test_visit_order_matches_reference_on_clustered_clouds():
+def test_visit_order_matches_reference_on_clustered_clouds(monkeypatch):
     # Clusters of very different density leave sparse points with short
     # neighbour lists, whose nearest unvisited point lies outside the block.
+    radii = set()
+    runs_within = nets._CellGrid.runs_within
+    monkeypatch.setattr(
+        nets._CellGrid, "runs_within", lambda grid, r: radii.add(r) or runs_within(grid, r)
+    )
     rng = np.random.default_rng(5)
+    clouds = []
     for _ in range(40):
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, 4))
         centres = rng.uniform(-10.0, 10.0, (k, d))
         scales = 10.0 ** rng.uniform(-2.0, 1.0, k)
         label = rng.integers(0, k, int(rng.integers(2, 40)))
-        rows = np.round(centres[label] + rng.normal(size=(len(label), d)) * scales[label, None], 2)
-        net = Net(rows=rows, ball=Ball(origin(d), 100.0), cover_radius=100.0, separation=0.0)
-        start = Point(rows[0])
-        assert visit_order(net, start).tolist() == _reference_order(net, start).tolist()
-
-
-def test_visit_order_matches_reference_on_a_clustered_d3_cloud(monkeypatch):
-    # Six far-apart clusters of 2,000 rows in all: leaving a cluster while
-    # more than 9^3 rows are unvisited searches blocks of radius 4 or more.
-    radii = set()
-    runs_within = nets._CellGrid.runs_within
-    monkeypatch.setattr(
-        nets._CellGrid, "runs_within", lambda grid, r: radii.add(r) or runs_within(grid, r)
-    )
+        noise = rng.normal(size=(len(label), d)) * scales[label, None]
+        clouds.append(np.round(centres[label] + noise, 2))
+    # Six far-apart d = 3 clusters of 2,000 rows in all: leaving a cluster
+    # while more than 9^3 rows are unvisited searches blocks of radius 4 or more.
     rng = np.random.default_rng(3)
     centres = rng.uniform(-60.0, 60.0, (6, 3))
-    rows = np.round(centres[rng.integers(0, 6, 2000)] + rng.normal(size=(2000, 3)) * 2.0, 2)
-    net = Net(rows=rows, ball=Ball(origin(3), 200.0), cover_radius=200.0, separation=0.0)
-    start = Point(rows[0])
-    assert visit_order(net, start).tolist() == _reference_order(net, start).tolist()
+    noise = rng.normal(size=(2000, 3)) * 2.0
+    clouds.append(np.round(centres[rng.integers(0, 6, 2000)] + noise, 2))
+    for rows in clouds:
+        d = rows.shape[1]
+        net = Net(rows=rows, ball=Ball(origin(d), 200.0), cover_radius=200.0, separation=0.0)
+        start = Point(rows[0])
+        assert visit_order(net, start).tolist() == _reference_order(net, start).tolist()
     assert max(radii) >= 4
 
 
