@@ -448,8 +448,8 @@ def _visit_indices(arr: np.ndarray, start) -> np.ndarray:
         while left > (2 * r + 1) ** d * _WALK_BLOCK_ROWS / 3**d:
             if r not in runs:
                 runs[r] = grid.runs_within(r)
-            start, end = grid.block(keys[current : current + 1], runs[r], r)
-            p = np.concatenate([grid.order[a:b] for a, b in zip(start[0].tolist(), end[0].tolist())])
+            lo, hi = grid.block(keys[current : current + 1], runs[r], r)
+            p = np.concatenate([grid.order[a:b] for a, b in zip(lo[0].tolist(), hi[0].tolist())])
             p = p[~visited[p]]
             if len(p):
                 dist = dists_to(arr[p], here)

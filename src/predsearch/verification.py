@@ -199,9 +199,9 @@ def count_visited_balls(verts: np.ndarray, centers, radius: float) -> int:
     starts, ends = (verts, verts) if len(verts) == 1 else (verts[:-1], verts[1:])
     deltas = ends - starts
     len2 = np.einsum("ij,ij->i", deltas, deltas)
-    z = np.array([center.coords for center in centers], dtype=np.float64)
-    z = z.reshape(len(z), verts.shape[1])
-    grid = _CellGrid(verts, radius if radius > 0.0 else 0.0)  # and for a nan radius
+    z = np.array([c.coords for c in centers], dtype=np.float64).reshape(-1, verts.shape[1])
+    # The side sets only which witnesses are found; a nan one would break the grid.
+    grid = _CellGrid(verts, radius if radius > 0.0 else 0.0)
     nearest = np.full(len(z), -1)
     for first, size, p in _pairs(*grid.block(grid.cell_keys(z))):
         # Each centre's pairs are adjacent: the first of its group, ranked
