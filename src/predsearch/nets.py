@@ -6,13 +6,15 @@ candidate order. For a net with cover radius eps the lattice spacing is
 (eps/3)/sqrt(d) (so candidates cover the ball within eps/3) and the greedy
 separation is 2*eps/3, which certifies cover radius <= eps and cardinality
 (r/eps)^d <= |N| <= (4.5*r/eps)^d for eps <= r. The greedy blocks a fixed
-integer stencil of lattice indices around each kept point. It walks the
-(2k+1)^d candidate cube in blocks of axis-0 slabs and keeps blocked flags
-for a block and the w = isqrt(stencil radius^2) slabs the stencil reaches
-past it, so its working memory is about (w + 1) * (2k+1)^(d-1) cells.
-Slab by slab, it drops the candidates that earlier slabs blocked with one
-gather, tests the rest one by one, and blocks the later slabs for all the
-slab's kept points with one numpy call.
+integer stencil of lattice indices around each kept point. It takes the
+candidates in blocks of axis-0 slabs, each lattice line of a block along
+the last axis as the one span of its cells in the ball, found by
+bisection, so no cell of the (2k+1)^d cube is measured on its own. It
+keeps blocked flags for a block and the w = isqrt(stencil radius^2) slabs
+the stencil reaches past it, so its working memory is about (w + 1) *
+(2k+1)^(d-1) cells. Slab by slab, it drops the candidates that earlier
+slabs blocked with one gather, tests the rest one by one, and blocks the
+later slabs for all the slab's kept points with one numpy call.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ _COVER_CELL_ROWS = 0.25
 _PAIR_CHUNK = 1 << 14
 # Queries per grid lookup of the certificates.
 _QUERY_CHUNK = 1 << 10
+# A cell grid keeps a table of where each cell's rows start when its key
+# space holds at most this many cells per row, plus the slack.
+_TABLE_ROWS = 16
+_TABLE_SLACK = 4096
 
 # Lattice cells per block of axis-0 slabs in the greedy. The d <= 2
 # lattices of the search commands (up to ~166k cells) take one block.
@@ -123,6 +129,60 @@ def _count_text(base: int, exponent: int) -> str:
     return f"~{math.floor(10.0 ** (frac + 2.0)) / 100.0:.2f}e+{int(exp)}"
 
 
+def _ball_cells(coords, side: int, radius: float, center):
+    """Flat indices, ascending, of the lattice cells in both the closed ball
+    of ``radius`` about the origin and B(center, radius), and the ends of
+    each axis-0 slab's run of them (at d = 1, of the one run). Cells sit at
+    the products of the ``coords`` arrays, each ascending, and are numbered
+    in the block padded to ``side`` cells along every axis but axis 0.
+
+    The test is dists_to's arithmetic: along a line of the last axis, a
+    partial sum s = (0 + t_0) + ... + t_(d-2) over the other axes, then
+    sqrt(s + t[j]) <= radius, with t_k = ((x + c_k) - c_k)^2 per axis.
+    (x + c) - c is nondecreasing in x under round-to-nearest, so t is
+    unimodal in j, and the sum, the square root and the comparison are
+    monotone: a line's cells in a ball are those whose t is at most some
+    threshold, one interval of j. It is found by bisecting the sorted
+    distinct values of t with the exact test, all lines at once, and mapped
+    back to [min j, max j] of that prefix of the sort.
+    """
+    start = stop = None
+    for c in {(0.0,) * len(coords), tuple(center)}:  # the set drops a repeated origin
+        s = np.zeros([len(x) for x in coords[:-1]])
+        for k, x in enumerate(coords[:-1]):
+            diff = (x + c[k]) - c[k]
+            s += (diff * diff).reshape((-1,) + (1,) * (len(coords) - 2 - k))
+        s = s.ravel()
+        diff = (coords[-1] + c[-1]) - c[-1]
+        t = diff * diff
+        order = np.argsort(t, kind="stable")
+        t = t[order]
+        last = np.flatnonzero(np.append(t[1:] != t[:-1], True))  # each value's last place
+        low = np.append(0, np.minimum.accumulate(order)[last])
+        high = np.append(0, np.maximum.accumulate(order)[last] + 1)
+        # Each line's count of distinct values in the ball, one bit at a time;
+        # a probe past the last value meets inf and fails.
+        bit = 1 << (len(last).bit_length() - 1)
+        values = np.full(2 * bit, np.inf)
+        values[: len(last)] = t[last]
+        q = np.zeros(len(s), dtype=np.intp)
+        while bit:
+            q += bit * (np.sqrt(s + values[q + (bit - 1)]) <= radius)
+            bit >>= 1
+        if start is None:
+            start, stop = low[q], high[q]
+        else:
+            start, stop = np.maximum(start, low[q]), np.minimum(stop, high[q])
+    count = np.maximum(stop - start, 0)
+    total = np.cumsum(count)
+    line = np.zeros(1, dtype=np.int64)  # each line's first cell, over side
+    for x in coords[:-1]:
+        line = np.add.outer(line * side, np.arange(len(x))).ravel()
+    cands = np.arange(total[-1]) + np.repeat(line * side + start - (total - count), count)
+    lines = math.prod(len(x) for x in coords[1:-1])  # per slab
+    return cands, [0] + total[lines - 1 :: lines].tolist()
+
+
 def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int, center):
     """Greedy maximal separated subset, in lexicographic order, of the lattice
     ``spacing * Z^d`` in the closed ball of ``radius``, shifted by ``center``
@@ -138,7 +198,8 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
     working memory is a block plus the w = isqrt(block_sq) slabs a block's
     stencils reach past it: about (w + 1) * (2k+1)^(d-1) cells once a slab
     outgrows ``_GREEDY_BLOCK_CELLS``. ``CANDIDATE_CAP`` on cube cells is
-    checked first.
+    checked first. A block's candidates come from :func:`_ball_cells`, one
+    span per lattice line along the last axis, not from a mask of its cells.
 
     Within a block the greedy goes one axis-0 slab at a time. The stencil
     splits into ``near`` offsets (o_0 = 0), which stay in the slab, and
@@ -191,15 +252,7 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
     kept = []
     for first in range(0, per_axis, step):
         heads = axis[first : first + step]
-        keep = np.ones((len(heads),) + (per_axis,) * (dimension - 1), dtype=bool)
-        # dists_to's arithmetic, by broadcasting; the set drops a repeated origin.
-        for c in {(0.0,) * dimension, tuple(center)}:
-            acc = np.zeros(keep.shape, dtype=np.float64)
-            for k in range(dimension):
-                diff = ((heads if k == 0 else axis) + c[k]) - c[k]
-                acc += (diff * diff).reshape((-1,) + (1,) * (dimension - 1 - k))
-            keep &= np.sqrt(acc, out=acc) <= radius
-        cands = np.flatnonzero(np.pad(keep, [(0, 0)] + [(0, w)] * (dimension - 1)))
+        cands, ends = _ball_cells([heads] + [axis] * (dimension - 1), side, radius, center)
         if seen is None:
             # Allocated after the first block's candidates: the heap the
             # greedy leaves behind sets the peak RSS of the walk that follows,
@@ -207,9 +260,6 @@ def _lattice_greedy(dimension: int, radius: float, spacing: float, block_sq: int
             # Python ints from a memoryview and bytearray read faster than numpy's.
             seen = bytearray((min(step, per_axis) + w) * slab)
             blocked = np.frombuffer(seen, dtype=bool)
-        ends = [0, len(cands)]  # at d = 1 the block is one run
-        if dimension > 1:
-            ends = np.searchsorted(cands, np.arange(len(heads) + 1) * slab).tolist()
         for lo, hi in zip(ends, ends[1:]):
             live = cands[lo:hi]
             mine = []
@@ -297,6 +347,12 @@ class _CellGrid:
     border aliases another run, which only adds rows. ``h`` is at least
     MIN_SCALE, below which differences drop out of the distance, and 1 for
     a box of zero extent.
+
+    Lookups: when the key space, the product of the grid's widths, holds at
+    most ``_TABLE_ROWS`` cells per row plus ``_TABLE_SLACK``, a table of
+    where each key's rows start in the sorted rows answers them by indexing;
+    otherwise, as on a sparse box, where the table would be too large, they
+    search the sorted keys.
     """
 
     def __init__(self, rows: np.ndarray, h: float):
@@ -316,6 +372,10 @@ class _CellGrid:
         self.keys = keys[self.order]
         # Coordinate k of the sorted rows is cols[k], so gathers are contiguous.
         self.cols = np.ascontiguousarray(rows[self.order].T)
+        self.space = int(np.prod(widths))
+        self.starts = None
+        if self.space <= _TABLE_ROWS * len(rows) + _TABLE_SLACK:
+            self.starts = np.searchsorted(self.keys, np.arange(self.space + 1))
 
     def cell_keys(self, points: np.ndarray) -> np.ndarray:
         cells = np.clip(np.floor((points - self.lo) / self.h) + 1.0, 0.0, self.top)
@@ -325,12 +385,19 @@ class _CellGrid:
         """Start and end in the sorted rows of each run of the block of cells
         within ``radius`` of each query key's cell: two (len(keys), len(runs))
         arrays. ``runs`` holds the runs' flat offsets, from :meth:`runs_within`
-        for the radius; the default is the 3^d block's. The searches go run
-        by run, which is faster when the keys are sorted."""
+        for the radius; the default is the 3^d block's. Lookups go run by
+        run, which is faster when the keys are sorted."""
         middle = (self.runs if runs is None else runs)[:, None] + keys
+        if self.starts is None:
+            return (
+                np.searchsorted(self.keys, middle - radius, "left").T,
+                np.searchsorted(self.keys, middle + radius, "right").T,
+            )
+        # np.clip costs several times more than the two ufuncs on small calls.
+        space = self.space
         return (
-            np.searchsorted(self.keys, middle - radius, "left").T,
-            np.searchsorted(self.keys, middle + radius, "right").T,
+            self.starts[np.minimum(np.maximum(middle - radius, 0), space)].T,
+            self.starts[np.minimum(np.maximum(middle + (radius + 1), 0), space)].T,
         )
 
     def runs_within(self, radius: int) -> np.ndarray:

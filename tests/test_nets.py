@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -419,10 +419,109 @@ def test_lattice_greedy_matches_sequential_greedy(case, radius):
     assert pts.tobytes() == ref.tobytes()
 
 
+def _padded_ball_mask(coords, side, radius, center):
+    """The greedy's candidate mask over the whole cube: every cell measured by
+    broadcasting dists_to's arithmetic against both balls, then padded to
+    ``side`` cells along every axis but axis 0."""
+    d = len(coords)
+    keep = np.ones([len(x) for x in coords], dtype=bool)
+    for c in {(0.0,) * d, tuple(center)}:
+        acc = np.zeros(keep.shape)
+        for k, x in enumerate(coords):
+            diff = (x + c[k]) - c[k]
+            acc += (diff * diff).reshape((-1,) + (1,) * (d - 1 - k))
+        keep &= np.sqrt(acc) <= radius
+    return np.pad(keep, [(0, 0)] + [(0, side - len(coords[-1]))] * (d - 1))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(1, 4).flatmap(
+        # Separations from 0.25 radii (0.45 at d = 4) keep the cube within
+        # ~0.5M cells, as in the separated-set tests.
+        lambda d: st.tuples(
+            st.tuples(*[st.floats(-5.0, 5.0)] * d),
+            st.floats(0.0, 1.0),
+            st.floats(0.25 if d < 4 else 0.45, 8.0),
+        ).map(lambda c: (c[0], c[1], max(c[1], 0.01) * c[2]))
+    ),
+    st.integers(0, 3),
+    st.integers(0, 10**6),
+    st.integers(1, 6),
+)
+# Boundary balls where one of the two ball tests drops or keeps a lattice
+# point one ulp from the radius (see the separated-set tests).
+@example(((1.2,), 1.0, 0.75), 0, 4, 6)
+@example(((2.4, 0.7), 0.4743416490252568, 0.9), 1, 0, 6)
+@example(((2.4, 0.7), 0.4743416490252568, 0.9), 2, 1, 1)
+def test_ball_cells_match_the_padded_cube_mask(case, pad, first, slabs):
+    # The cells of a block of axis-0 slabs, from per-line spans, are those of
+    # the whole cube's padded mask, and each slab's run ends where it does.
+    center, radius, separation = case
+    d = len(center)
+    spacing = (separation / 3.0) / math.sqrt(d)
+    k_max = int(math.floor(radius / spacing)) if radius > 0 else 0
+    axis = np.arange(-k_max, k_max + 1, dtype=np.float64) * spacing
+    side = len(axis) + pad
+    first %= len(axis)
+    heads = axis[first : first + slabs]
+    cands, ends = nets._ball_cells([heads] + [axis] * (d - 1), side, radius, center)
+    mask = _padded_ball_mask([axis] * d, side, radius, center)
+    assert np.array_equal(cands, np.flatnonzero(mask[first : first + slabs]))
+    slab = side ** (d - 1)
+    runs = np.searchsorted(cands, np.arange(len(heads) + 1) * slab) if d > 1 else [0, len(cands)]
+    assert ends == list(runs)
+
+
+def _bounds_by_search(grid, keys, runs, radius):
+    middle = runs[:, None] + keys
+    return (
+        np.searchsorted(grid.keys, middle - radius, "left").T,
+        np.searchsorted(grid.keys, middle + radius, "right").T,
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_cell_grid_start_table_matches_searchsorted(d):
+    # Query keys reach below 0 and past the key space, as the runs of a
+    # border cell and of blocks wider than the grid do.
+    rng = np.random.default_rng(d)
+    rows = rng.uniform(-1.0, 1.0, (300, d))
+    grid = nets._CellGrid(rows, nets._cell_side(rows, 0.25))
+    assert grid.starts is not None
+    for radius in range(1, 9):
+        runs = grid.runs_within(radius)
+        keys = rng.integers(-grid.space, 2 * grid.space, 200)
+        keys = np.concatenate((keys, grid.keys[::7], [-radius - 1, 0, grid.space - 1, grid.space]))
+        for got, want in zip(grid.block(keys, runs, radius), _bounds_by_search(grid, keys, runs, radius)):
+            assert np.array_equal(got, want)
+    # The covering check's last round: one run over the whole key space.
+    whole = np.zeros(1, np.int64)
+    start, end = grid.block(grid.keys, whole, 2**60)
+    assert (start == 0).all() and (end == len(rows)).all()
+
+
+def test_cell_grid_on_a_sparse_box_searches_the_sorted_keys():
+    # Two clusters 1e6 cells apart: a start table would need ~1e12 entries.
+    rng = np.random.default_rng(3)
+    rows = np.concatenate((rng.uniform(0.0, 10.0, (100, 2)), rng.uniform(1e6, 1e6 + 10.0, (100, 2))))
+    grid = nets._CellGrid(rows, 1.0)
+    assert grid.starts is None and grid.space > 10**12
+    keys = np.concatenate((grid.keys, rng.integers(-10, grid.space + 10, 100)))
+    for radius in (1, 3):
+        runs = grid.runs_within(radius)
+        start, end = grid.block(keys, runs, radius)
+        middle = keys[:, None] + runs
+        inside = np.abs(grid.keys[None, None, :] - middle[:, :, None]) <= radius
+        assert np.array_equal(end - start, inside.sum(axis=2))
+
+
 def test_net_build_and_covering_check_stay_within_memory_ceiling():
-    # The greedy keeps only a window of lattice slabs and the covering check
-    # looks its probes up in fixed batches. Over the whole cube and all probes
-    # at once, these traced peaks were ~39 MiB and ~13 MiB.
+    # The greedy keeps only a window of lattice slabs and finds its candidates
+    # from per-line spans, and the covering check looks its probes up in fixed
+    # batches. Over the whole cube and all probes at once, these traced peaks
+    # were ~39 MiB and ~13 MiB; with a measured mask per block of slabs, the
+    # greedy's was ~4.8 MiB, and it is ~3.3 MiB.
     net = build_net(Ball(origin(4), 1.0), 0.3)
     tracemalloc.start()
     try:
@@ -433,7 +532,7 @@ def test_net_build_and_covering_check_stay_within_memory_ceiling():
         cover_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert greedy_peak <= 8 * 2**20
+    assert greedy_peak <= 4 * 2**20
     assert cover_peak <= 8 * 2**20
 
 
