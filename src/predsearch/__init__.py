@@ -9,7 +9,6 @@ against the theoretical guarantees.
 from .geometry import (
     Ball,
     Point,
-    contains,
     cumulative_lengths,
     distance,
     origin,
@@ -34,12 +33,9 @@ from .oracles import (
     OracleSpec,
     PredictionOracle,
     QueryRecorder,
-    check_prediction_bounds,
     infer_lipschitz,
-    piecewise_prediction,
     piecewise_predictions,
     refined_query,
-    validate_oracle,
 )
 from .strategies import (
     STRATEGY_KINDS,
@@ -50,7 +46,6 @@ from .strategies import (
     StepRecord,
     StrategyConfig,
     one_step,
-    phase_endpoints,
     run_strategy,
     step_length_bound,
     trilaterate,

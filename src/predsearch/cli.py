@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import MAX_SCALE, MIN_SCALE, Ball, Point, cumulative_lengths, origin
+from .geometry import MAX_SCALE, MIN_SCALE, Ball, Point, config_number, cumulative_lengths, origin
 from .nets import (
     CANDIDATE_CAP,
     CandidateCapExceeded,
@@ -110,17 +110,14 @@ def _section(cls, name: str, doc: dict, **given):
 
 def parse_run_config(doc: dict) -> RunConfig:
     try:
-        d = doc["d"]
-        seed = doc.get("seed", 0)
-        radius = float(doc.get("target_radius", 1.0))
+        d = config_number("d", doc["d"], operator.index)
+        seed = config_number("seed", doc.get("seed", 0), operator.index)
+        radius = config_number("target_radius", doc.get("target_radius", 1.0))
         raw_target = doc["target"]
         oracle_doc = dict(doc["oracle"])
         strategy_doc = dict(doc["strategy"])
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config structure: {exc}") from exc
-    for name, value in (("d", d), ("seed", seed)):
-        if type(value) is not int:  # a bool or a float is not an integer here
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"bad config: {exc}") from exc
     if d < 1:
         raise ConfigError("d must be >= 1")
     if raw_target == "random":
@@ -129,8 +126,8 @@ def parse_run_config(doc: dict) -> RunConfig:
         target = _sample_target(d, radius, derive_seed(seed, "target"))
     else:
         try:
-            target = Point(tuple(float(x) for x in raw_target))
-        except (TypeError, ValueError) as exc:
+            target = Point(tuple(config_number("target", x) for x in raw_target))
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad target: {exc}") from exc
     if target.dimension != d:
         raise ConfigError(f"target dimension {target.dimension} != d = {d}")

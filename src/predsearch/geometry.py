@@ -2,7 +2,8 @@
 
 Dimension is a runtime value, all reals are 64-bit floats, and every set
 membership test uses exact closed inequalities (no epsilon). All types are
-immutable values.
+immutable values. The module also holds what every layer checks its inputs
+against: the accepted length range and the rule for config numbers.
 """
 
 from __future__ import annotations
@@ -19,17 +20,32 @@ __all__ = [
     "origin",
     "distance",
     "dists_to",
-    "contains",
     "sample_in_ball",
     "edge_lengths",
     "cumulative_lengths",
     "path_length",
+    "config_number",
 ]
 
 # The range of lengths the CLI accepts, [2^-500, 2^500]: squared distances
 # then stay normal floats, as a coordinate difference below ~2^-511 squares
 # to 0 and drops out of the distance, and one above 2^512 squares to inf.
 MIN_SCALE, MAX_SCALE = 2.0**-500, 2.0**500
+
+
+def config_number(name: str, value, convert=float):
+    """``convert(value)`` for a config field that holds a number: ``float``
+    for a real, ``operator.index`` for an integer. Ints, floats and numpy
+    numbers pass; a string or a bool is refused with ValueError, although
+    both conversions take some, and so is what ``convert`` refuses. An int
+    past the float range raises OverflowError."""
+    if not isinstance(value, (str, bool, np.bool_)):
+        try:
+            return convert(value)
+        except TypeError:
+            pass
+    kind = "a number" if convert is float else "an integer"
+    raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -115,12 +131,6 @@ def dists_to(arr: np.ndarray, coords) -> np.ndarray:
         diff = arr[:, k] - coords[k]
         acc += diff * diff
     return np.sqrt(acc)
-
-
-def contains(ball: Ball, p: Point) -> bool:
-    """Closed membership test: boundary points count as inside."""
-    _check_same_dimension(ball.center, p)
-    return distance(ball.center, p) <= ball.radius
 
 
 def sample_in_ball(rng: np.random.Generator, ball: Ball, n: int) -> np.ndarray:

@@ -34,6 +34,7 @@ __all__ = [
     "CANDIDATE_CAP",
     "build_net",
     "visit_order",
+    "nearest_in_block",
     "check_covering",
     "check_separation",
     "separated_set",
@@ -567,6 +568,24 @@ def visit_order(net: Net, start: Point) -> np.ndarray:
     rows = net.rows[_visit_indices(net.rows, start.coords)]
     rows.flags.writeable = False
     return rows
+
+
+def nearest_in_block(rows: np.ndarray, points: np.ndarray, side: float) -> np.ndarray:
+    """Index of each point's nearest row by :func:`dists_to`, looked for
+    only in the 3^d block of the point's cell in a grid of cells of side
+    ``side`` over the rows (see :class:`_CellGrid`), or -1 where that block
+    holds no row. A row nearer than side / ``_BLOCK_GUARD`` is in the block,
+    so a block's nearest row that close is the nearest of all."""
+    grid = _CellGrid(rows, side)
+    nearest = np.full(len(points), -1)
+    for first, size, p in _pairs(*grid.block(grid.cell_keys(points))):
+        # Each point's pairs are adjacent: the first of its group, ranked
+        # by distance, is its nearest row.
+        owner = np.repeat(np.arange(len(size)), size)
+        dist = _pair_distances(grid, p, points[first : first + len(size)].T, size)
+        heads = (np.cumsum(size) - size)[size > 0]
+        nearest[first + np.flatnonzero(size)] = grid.order[p[np.lexsort((dist, owner))[heads]]]
+    return nearest
 
 
 def _nearest_distances(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:

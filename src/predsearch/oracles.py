@@ -17,17 +17,14 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .geometry import Ball, Point, distance, dists_to, origin, sample_in_ball
+from .geometry import Point, config_number, distance, dists_to, origin
 
 __all__ = [
     "ORACLE_KINDS",
     "OracleSpec",
     "PredictionOracle",
     "QueryRecorder",
-    "piecewise_prediction",
     "piecewise_predictions",
-    "validate_oracle",
-    "check_prediction_bounds",
     "infer_lipschitz",
     "refined_query",
 ]
@@ -60,11 +57,11 @@ class OracleSpec:
     def __post_init__(self):
         if self.kind not in ORACLE_KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
-        object.__setattr__(self, "seed", operator.index(self.seed))
+        object.__setattr__(self, "seed", config_number("seed", self.seed, operator.index))
         if not -(2**63) <= self.seed < 2**63:
             raise ValueError(f"seed must fit in a signed 64-bit integer, got {self.seed}")
-        object.__setattr__(self, "c_hi", float(self.c_hi))
-        object.__setattr__(self, "c_lo", float(self.c_lo))
+        for name in ("c_hi", "c_lo") + (() if self.alpha is None else ("alpha",)):
+            object.__setattr__(self, name, config_number(name, getattr(self, name)))
         if not (0.0 < self.c_lo <= 1.0 <= self.c_hi < math.inf):
             raise ValueError(
                 f"need 0 < c_lo <= 1 <= c_hi < inf, got c_lo={self.c_lo}, c_hi={self.c_hi}"
@@ -72,7 +69,6 @@ class OracleSpec:
         if self.kind == "affine":
             if self.alpha is None:
                 raise ValueError("affine oracle needs alpha")
-            object.__setattr__(self, "alpha", float(self.alpha))
             if not (self.c_lo <= self.alpha <= self.c_hi):
                 raise ValueError(f"alpha={self.alpha} outside [{self.c_lo}, {self.c_hi}]")
         if self.kind == "piecewise_lower_bound":
@@ -86,25 +82,12 @@ class OracleSpec:
                 )
 
 
-def piecewise_prediction(target: Point, c: float, p: Point) -> float:
-    """Piecewise prediction: c*|pt| inside B(t, 1/c), 1 inside B(o, 1/2)
-    elsewhere, 2*|po| outside. Overlaps resolve in that order (closed tests).
-
-    The piecewise oracle kind, the adaptive adversary and its replay check
-    evaluate it on rows with :func:`piecewise_predictions`, which agrees
-    with this scalar form bit for bit.
-    """
-    dist_t = distance(p, target)
-    if dist_t <= 1.0 / c:
-        return c * dist_t
-    dist_o = distance(p, origin(p.dimension))
-    if dist_o <= 0.5:
-        return 1.0
-    return 2.0 * dist_o
-
-
 def piecewise_predictions(target: Point, c: float, rows: np.ndarray) -> np.ndarray:
-    """:func:`piecewise_prediction` at every row of an (n, d) array, bit for
+    """The piecewise prediction at every row of an (n, d) array: c*|pt|
+    inside B(t, 1/c), 1 inside B(o, 1/2) elsewhere, 2*|po| outside, with
+    overlaps resolved in that order (closed tests). The piecewise oracle
+    kind, the adaptive adversary and its replay check all evaluate it here.
+    ``tests/reference.py`` holds the scalar form, which it matches bit for
     bit: the distances come from ``dists_to`` and the cases keep their order."""
     dist_t = dists_to(rows, target.coords)
     dist_o = dists_to(rows, origin(target.dimension).coords)
@@ -122,19 +105,20 @@ class QueryRecorder:
     queries, as every answer is a function of the point alone (each
     subclass says why).
 
-    ``query_rows(rows, stop, limit)`` is the batched protocol of the
-    contraction step: it queries the rows of an (n, d) array in order, stops
-    after the first value ``<= stop`` or after ``limit`` rows, and returns
-    the values queried. It rejects a batch with a non-finite row before
-    logging anything. The rows go to ``_answer_chunk`` in chunks of
-    ``_CHUNK`` rows, and a single ``query`` is a one-row chunk.
+    ``query_rows(rows, stop, limit)`` is the one batched query, the walk of
+    the contraction step: it queries the rows of an (n, d) array in order,
+    stops after the first value ``<= stop`` or after ``limit`` rows, and
+    returns the value that stopped it, or None. The values are logged from
+    position ``query_count`` on; ``query_arrays`` reads them. It rejects a
+    batch with a non-finite row before logging anything. The rows go to
+    ``_answer_chunk`` in chunks of ``_CHUNK`` rows, and a single ``query``
+    is a one-row chunk.
 
     A pure subclass may defer a value that cannot stop a chunk of several
     rows: it logs NaN there, which no real value is and which never
     compares ``<= stop``, and computes it on first read with ``_values``.
     ``_resolve`` fills the NaNs in the log, so each is computed once and no
-    public read (``query``, ``query_rows``, ``query_arrays``, ``memo``)
-    returns one.
+    public read (``query``, ``query_arrays``, ``memo``) returns one.
     """
 
     # A chunk's answers may measure every row against every candidate
@@ -175,7 +159,7 @@ class QueryRecorder:
         return self._value_chunks[-1].item()
 
     # Subclasses bind this ``query`` as their own, so that a wrapper on one
-    # class leaves the other alone; ``_walk`` sends every row through
+    # class leaves the other alone; ``query_rows`` sends every row through
     # a replaced ``query``; ``memo`` is a view of the log. bench/tracer.py
     # needs all three: it wraps ``query`` per class and counts ``memo``, and
     # bench/tests assert that its ``oracles.query.calls`` is the query count.
@@ -188,14 +172,9 @@ class QueryRecorder:
         in-process wrapper hears only the queries of its own process."""
         return cls.query is not cls._chunked_query
 
-    def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> np.ndarray:
-        first = self.query_count
-        self._walk(rows, stop, limit)
-        return self.query_arrays()[1][first:].copy()
-
-    def _walk(self, rows: np.ndarray, stop: float, limit: int) -> float | None:
-        """``query_rows`` without resolving: returns the value ``<= stop``
-        that stopped the walk, or None. The walk's values are logged from
+    def query_rows(self, rows: np.ndarray, stop: float, limit: int) -> float | None:
+        """Query the rows in order, at most ``limit``, until a value ``<=
+        stop``; returns that value, or None. Their values are logged from
         position ``query_count`` on, some perhaps deferred."""
         rows = np.ascontiguousarray(rows, dtype="<f8")
         if rows.ndim != 2 or rows.shape[1] != self.dimension:
@@ -320,41 +299,6 @@ class PredictionOracle(QueryRecorder):
             h = fresh()
             h.update(raw[at : at + width])
             yield h.digest()
-
-
-def check_prediction_bounds(
-    values_at,
-    target: Point,
-    c_lo: float,
-    c_hi: float,
-    probes: int,
-    radius: float,
-    seed: int,
-    rel_slack: float = 1e-9,
-) -> bool:
-    """True iff c_lo*|pt| <= value <= c_hi*|pt| (within relative slack) at
-    uniform probes in B(target, radius) plus the fixed probes o and t.
-    ``values_at`` maps an (n, d) array of probe rows to their n values."""
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    rng = np.random.default_rng(seed)
-    fixed = np.array([origin(target.dimension).coords, target.coords])
-    rows = np.concatenate((sample_in_ball(rng, Ball(target, radius), probes), fixed))
-    values = np.asarray(values_at(rows), dtype=np.float64)
-    dist = dists_to(rows, target.coords)
-    lo = c_lo * dist * (1.0 - rel_slack)
-    hi = c_hi * dist * (1.0 + rel_slack)
-    return bool(np.all((lo <= values) & (values <= hi)))
-
-
-def validate_oracle(oracle: PredictionOracle, probes: int, radius: float, seed: int) -> bool:
-    """Empirical validity certificate for an oracle against its own spec, on
-    the batched path the searches use."""
-    spec = oracle.spec
-    return check_prediction_bounds(
-        lambda rows: oracle.query_rows(rows, -math.inf, len(rows)),
-        spec.target, spec.c_lo, spec.c_hi, probes, radius, seed,
-    )
 
 
 def infer_lipschitz(rows: np.ndarray, values: np.ndarray, p: Point) -> float:

@@ -12,12 +12,13 @@ the target is recovered directly by trilateration from d+1 readings.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .geometry import Ball, Point, dists_to, edge_lengths, origin, path_length
+from .geometry import Ball, Point, config_number, dists_to, edge_lengths, origin, path_length
 from .nets import build_net, visit_order
 from .oracles import QueryRecorder
 
@@ -32,7 +33,6 @@ __all__ = [
     "one_step",
     "run_strategy",
     "trilaterate",
-    "phase_endpoints",
     "step_length_bound",
 ]
 
@@ -67,11 +67,8 @@ class StrategyConfig:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         for name in ("c_guess", "delta_stop", "epsilon_ratio"):
-            value = getattr(self, name)
-            if isinstance(value, str):  # which float() would parse
-                raise ValueError(f"{name} must be a number, got {value!r}")
             # An int past the float range raises OverflowError here.
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, config_number(name, getattr(self, name)))
         if not 1.0 <= self.c_guess < math.inf:
             raise ValueError("c_guess must be finite and >= 1")
         if not 0.0 < self.delta_stop < math.inf:
@@ -80,8 +77,11 @@ class StrategyConfig:
             raise ValueError("epsilon_ratio must be finite and > 0")
         if not isinstance(self.snap_integral, bool):
             raise ValueError(f"snap_integral must be true or false, got {self.snap_integral!r}")
-        if type(self.max_queries) is not int or self.max_queries < 1:  # a bool is not a count
-            raise ValueError(f"max_queries must be an integer >= 1, got {self.max_queries!r}")
+        object.__setattr__(
+            self, "max_queries", config_number("max_queries", self.max_queries, operator.index)
+        )
+        if self.max_queries < 1:
+            raise ValueError(f"max_queries must be >= 1, got {self.max_queries!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,11 +215,12 @@ def one_step(
     at the first point q with lambda(q) <= lambda_i/2 ("advanced"); if the
     net is exhausted, returns to p_i ("guess_too_small"), which certifies
     that the true prediction factor exceeds c_guess. The net rows go to the
-    oracle in one walk, the one ``query_rows`` runs, which rejects a
-    non-finite row before any query; ``StepOutcome.values`` reads their
-    values from the oracle's log. With a ``query_limit``, a walk that needs
-    more queries raises QueryBudgetExceeded once the oracle has answered
-    exactly ``query_limit`` queries in all.
+    oracle in one batched ``query_rows`` call, which rejects a non-finite
+    row before any query and returns the value that stopped it;
+    ``StepOutcome.values`` reads the others from the oracle's log. With a
+    ``query_limit``, a walk that needs more queries raises
+    QueryBudgetExceeded once the oracle has answered exactly
+    ``query_limit`` queries in all.
     """
     if not lambda_i > 0.0:
         raise ValueError(f"lambda_i must be > 0, got {lambda_i!r}")
@@ -234,7 +235,7 @@ def one_step(
     first = oracle.query_count
     # The walk queries no row at a limit <= 0.
     limit = len(pts) if query_limit is None else min(len(pts), query_limit - first)
-    value = oracle._walk(pts, lambda_i / 2.0, limit)
+    value = oracle.query_rows(pts, lambda_i / 2.0, limit)
     queried = oracle.query_count - first
     if value is not None:
         return StepOutcome("advanced", base, pts[:queried].copy(), first, value, oracle)
@@ -400,11 +401,3 @@ def run_strategy(oracle, config: StrategyConfig) -> SearchTrace:
     if config.kind == "exact_c1":
         return _exact_search(oracle, config)
     return _contraction_search(oracle, config, doubling=config.kind == "unknown_c")
-
-
-def phase_endpoints(trace: SearchTrace) -> list[tuple[int, int, int, float]]:
-    """(j, i, vertex index, lambda) for the first vertex of every phase label:
-    exactly the points the contraction argument tracks."""
-    labels = trace.phase_labels
-    firsts = np.sort(np.unique(labels, axis=0, return_index=True)[1]).tolist()
-    return [(*labels[k].tolist(), k, trace.lambda_values[k].item()) for k in firsts]

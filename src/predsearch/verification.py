@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .geometry import Ball, Point, distance, dists_to, origin
-from .nets import _CellGrid, _pair_distances, _pairs, separated_set
+from .nets import nearest_in_block, separated_set
 from .oracles import QueryRecorder, piecewise_predictions
 from .strategies import SearchTrace, StrategyConfig, step_length_bound
 
@@ -86,12 +86,13 @@ def doubling_cap(c: float) -> int:
 class AdversarialInstance(QueryRecorder):
     """Adaptive adversary over a separated family of candidate targets.
 
-    Presents the oracle interface used by the strategies (query, query_rows,
-    query_count, dimension, c_factor). Mutable single-owner state: one
-    instance per run. ``_answer`` finds the rows of a chunk that lie in each
-    candidate's ball at once, eliminates at the ones in a live ball, and
-    answers every run of rows between them with ``piecewise_predictions``,
-    up to the first value ``<= stop``; a single ``query`` is a one-row chunk.
+    Presents the oracle interface used by the strategies (query, the one
+    batched query_rows, query_count, dimension, c_factor). Mutable
+    single-owner state: one instance per run. ``_answer`` finds the rows of
+    a chunk that lie in each candidate's ball at once, eliminates at the
+    ones in a live ball, and answers every run of rows between them with
+    ``piecewise_predictions``, up to the first value ``<= stop``; a single
+    ``query`` is a one-row chunk.
 
     No memo is needed: a query that falls in a live ball removes that
     candidate while others live, so after a query at p either no live ball
@@ -201,15 +202,7 @@ def count_visited_balls(verts: np.ndarray, centers, radius: float) -> int:
     len2 = np.einsum("ij,ij->i", deltas, deltas)
     z = np.array([c.coords for c in centers], dtype=np.float64).reshape(-1, verts.shape[1])
     # The side sets only which witnesses are found; a nan one would break the grid.
-    grid = _CellGrid(verts, radius if radius > 0.0 else 0.0)
-    nearest = np.full(len(z), -1)
-    for first, size, p in _pairs(*grid.block(grid.cell_keys(z))):
-        # Each centre's pairs are adjacent: the first of its group, ranked
-        # by distance, is its nearest vertex.
-        owner = np.repeat(np.arange(len(size)), size)
-        dist = _pair_distances(grid, p, z[first : first + len(size)].T, size)
-        heads = (np.cumsum(size) - size)[size > 0]
-        nearest[first + np.flatnonzero(size)] = grid.order[p[np.lexsort((dist, owner))[heads]]]
+    nearest = nearest_in_block(verts, z, radius if radius > 0.0 else 0.0)
     # The segments ending and starting at the nearest vertex.
     seg = np.clip(np.concatenate([nearest - 1, nearest]), 0, len(starts) - 1)
     gaps2 = _segment_gaps2(starts[seg], deltas[seg], len2[seg], np.concatenate([z, z]))

@@ -24,23 +24,21 @@ from predsearch import (
     build_adversarial_instance,
     build_net,
     check_covering,
-    check_prediction_bounds,
     check_separation,
     distance,
     infer_lipschitz,
     net_size_lower_bound,
     net_size_upper_bound,
     origin,
-    phase_endpoints,
     replay_consistent,
     run_strategy,
     sample_in_ball,
     step_length_bound,
     tsp_ball_lower_bound,
-    validate_oracle,
 )
 from predsearch.cli import derive_seed, main
 from predsearch.nets import CandidateCapExceeded
+from reference import check_prediction_bounds, phase_endpoints, validate_oracle
 
 
 def announce(criterion, ok, detail):

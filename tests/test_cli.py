@@ -184,6 +184,39 @@ def test_run_bad_config_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+# Each ran to exit 0, read as the number it spells or as 1.
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"oracle": {"kind": "affine", "c_hi": "2", "alpha": 2.0}},
+        {"oracle": {"kind": "affine", "c_hi": 2.0, "alpha": "2"}},
+        {"target": ["0.6", True]},
+        {"target": "random", "target_radius": "1.5"},
+        {"oracle": {"kind": "exact", "c_hi": True}},
+        {"oracle": {"kind": "exact"}, "strategy": {"kind": "known_c", "c_guess": True}},
+        {"oracle": {"kind": "seeded_noise", "c_hi": 2.0, "seed": True}},
+    ],
+    ids=["c_hi-str", "alpha-str", "target-str-bool", "target_radius-str", "c_hi-bool",
+         "c_guess-bool", "oracle_seed-bool"],
+)
+def test_a_string_or_bool_where_a_number_belongs_exits_2(tmp_path, capsys, change):
+    assert main(["run", "--config", write_config(tmp_path, dict(RUN_CONFIG, **change))]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_config_numbers_take_ints_and_numpy_numbers():
+    doc = dict(RUN_CONFIG, target=[0, 1], oracle={"kind": "affine", "c_hi": 2, "alpha": 2})
+    cfg = parse_run_config(dict(doc, strategy={"kind": "known_c", "c_guess": 2, "max_queries": 9}))
+    assert (cfg.target.coords, cfg.oracle_spec.c_hi, cfg.oracle_spec.alpha) == ((0.0, 1.0), 2.0, 2.0)
+    assert (cfg.strategy.c_guess, cfg.strategy.max_queries) == (2.0, 9)
+    spec = OracleSpec(
+        kind="affine", target=point(0.1), c_hi=np.float32(2.0), alpha=np.int64(2), seed=np.uint8(3)
+    )
+    assert [type(x) for x in (spec.c_hi, spec.alpha, spec.seed)] == [float, float, int]
+    config = StrategyConfig(kind="known_c", c_guess=np.float64(3.0), max_queries=np.int64(5))
+    assert [type(x) for x in (config.c_guess, config.max_queries)] == [float, int]
+
+
 def test_a_config_section_takes_its_class_defaults_and_the_derived_oracle_seed():
     doc = {
         "d": 2,

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from predsearch import (
     Ball,
     Point,
-    contains,
     cumulative_lengths,
     distance,
     origin,
@@ -53,11 +52,6 @@ def test_ball_validation():
     with pytest.raises(ValueError):
         Ball(point(0, 0), -1.0)
     assert Ball(point(0, 0), 0.0).radius == 0.0
-
-
-def test_contains_boundary_closed():
-    assert contains(Ball(point(0, 0), 1.0), point(1, 0))
-    assert not contains(Ball(point(0, 0), 1.0), point(1.0000001, 0))
 
 
 def test_path_length_single_vertex():

@@ -35,6 +35,7 @@ from predsearch.nets import (
     _unit_net_points,
     _visit_indices,
     dists_to,
+    nearest_in_block,
 )
 from predsearch.strategies import _unit_walk
 
@@ -248,6 +249,19 @@ def test_nearest_distances_match_brute_force(case):
     rows, probes = case
     brute = np.array([np.min(dists_to(rows, probe)) for probe in probes])
     assert np.array_equal(_nearest_distances(rows, probes), brute)
+
+
+@settings(deadline=None)
+@given(_cover_cases(), st.sampled_from([1e-3, 0.1, 1.0, 1e3]))
+def test_nearest_in_block_finds_each_row_nearer_than_the_side(case, side):
+    # Such a row lies in the point's 3^d block, so the block's nearest row
+    # is the nearest of all; a block without rows gives -1.
+    rows, points = case
+    for point_, k in zip(points, nearest_in_block(rows, points, side).tolist()):
+        dist = dists_to(rows, point_)
+        assert -1 <= k < len(rows)
+        if dist.min() < side / nets._BLOCK_GUARD:
+            assert k >= 0 and dist[k] == dist.min()
 
 
 def test_nearest_distances_bound_each_lookup_on_a_skewed_cloud(monkeypatch):

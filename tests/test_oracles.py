@@ -14,20 +14,24 @@ from predsearch import (
     Point,
     PredictionOracle,
     QueryRecorder,
-    check_prediction_bounds,
     distance,
     infer_lipschitz,
     origin,
-    piecewise_prediction,
     piecewise_predictions,
     point,
     refined_query,
     sample_in_ball,
-    validate_oracle,
 )
 from predsearch.nets import dists_to
-from predsearch.strategies import StrategyConfig, one_step, phase_endpoints, run_strategy
+from predsearch.strategies import StrategyConfig, one_step, run_strategy
 from predsearch.verification import build_adversarial_instance
+from reference import (
+    check_prediction_bounds,
+    phase_endpoints,
+    piecewise_prediction,
+    query_values,
+    validate_oracle,
+)
 
 
 def make_oracle(kind, target, c=1.0, c_lo=1.0, seed=0):
@@ -61,7 +65,8 @@ def test_spec_validation():
             OracleSpec(kind="affine", target=t, c_hi=bad, alpha=2.0)
         with pytest.raises(ValueError):
             OracleSpec(kind="exact", target=t, c_lo=bad)
-    with pytest.raises(TypeError):
+    # A seed that is no integer is refused like every other config number.
+    with pytest.raises(ValueError):
         OracleSpec(kind="seeded_noise", target=t, c_hi=2.0, seed=1.5)
     # The noise key packs the seed as a signed 64-bit integer.
     for bad in (2**63, 2**64, -(2**63) - 1):
@@ -285,7 +290,7 @@ def test_query_rows_lie_within_the_factor_bounds(params, data):
     # factor and of the piecewise cases; a row on the target answers 0.
     oracle = _bounded_oracle(params)
     rows = _query_rows_near(data.draw, oracle, 0, 40)
-    values = oracle.query_rows(rows, -math.inf, len(rows))
+    values = query_values(oracle, rows, -math.inf, len(rows))
     spec = oracle.spec
     dist = dists_to(rows, spec.target.coords)
     assert len(values) == len(rows)
@@ -387,7 +392,7 @@ def test_query_rows_matches_scalar_reference(kind, rows, stop_q, limit, seed):
     stop = float(np.quantile(values, stop_q))
     values, memo, log = _reference_rows(spec, rows, stop, limit)
     oracle = PredictionOracle(spec)
-    got = oracle.query_rows(rows, stop, limit)
+    got = query_values(oracle, rows, stop, limit)
     assert repr(got.tolist()) == repr(values)
     assert repr(list(oracle.memo.items())) == repr(list(memo.items()))
     assert repr(_log_pairs(oracle)) == repr(log)
@@ -402,9 +407,11 @@ def test_query_rows_matches_scalar_reference(kind, rows, stop_q, limit, seed):
 def test_query_rows_stops_after_first_value_at_or_below_stop():
     oracle = make_oracle("exact", point(0.0))
     rows = np.array([[5.0], [3.0], [2.0], [1.0], [2.0]])
-    assert oracle.query_rows(rows, 2.0, 5).tolist() == [5.0, 3.0, 2.0]
+    assert oracle.query_rows(rows, 2.0, 5) == 2.0
+    assert oracle.query_arrays()[1].tolist() == [5.0, 3.0, 2.0]
     assert sorted(oracle.memo) == [(2.0,), (3.0,), (5.0,)]
-    assert oracle.query_rows(rows, -1.0, 2).tolist() == [5.0, 3.0]
+    assert oracle.query_rows(rows, -1.0, 2) is None
+    assert oracle.query_arrays()[1][3:].tolist() == [5.0, 3.0]
     assert oracle.query_count == 5
     with pytest.raises(ValueError):
         oracle.query_rows(np.zeros((2, 2)), 0.0, 2)
@@ -421,7 +428,7 @@ def test_a_short_answer_without_a_stop_raises_and_logs_nothing():
         recorder.query_rows(np.zeros((3, 1)), 1.0, 3)
     assert recorder.query_count == 0 and len(recorder.query_arrays()[1]) == 0
     # A short answer that ends at its stop is the protocol.
-    assert recorder.query_rows(np.zeros((3, 1)), 5.0, 3).tolist() == [5.0]
+    assert query_values(recorder, np.zeros((3, 1)), 5.0, 3).tolist() == [5.0]
 
 
 def test_noise_draw_conversion_matches_python_division():
@@ -500,15 +507,16 @@ def test_exact_stop_logs_what_hashing_every_row_logs(d, n, at_target, stop, limi
     hashed = []
     digests = oracle._digests
     oracle._digests = lambda rows: (hashed.append(1) or h for h in digests(rows))
-    got, want = oracle.query_rows(rows, stop, limit), reference.query_rows(rows, stop, limit)
+    got = query_values(oracle, rows, stop, limit)
+    want = query_values(reference, rows, stop, limit)
     assert repr(got.tolist()) == repr(want.tolist())
     got_rows, got_values = oracle.query_arrays()
     want_rows, want_values = reference.query_arrays()
     assert np.array_equal(got_rows, want_rows)
     assert repr(got_values.tolist()) == repr(want_values.tolist())
     # Each row queried is hashed once: in the walk if it can stop it, else
-    # when query_rows resolves the value it deferred, and the log read after
-    # it hashes none again.
+    # when the first read of the log resolves the value it deferred, and the
+    # read after it hashes none again.
     assert oracle.query_count == reference.query_count == len(hashed)
 
 
@@ -539,7 +547,9 @@ def test_deferred_values_read_as_hashing_every_row(d, n, stop, limit, c_lo, c_hi
     base = Point(tuple(rng.uniform(-1.0, 1.0, size=d).tolist()))
     spec = OracleSpec(kind="seeded_noise", target=target, c_hi=c_hi, c_lo=c_lo, seed=seed)
     oracle, reference = PredictionOracle(spec), _HashEveryRow(spec)
-    _no_nan_and_same(oracle.query_rows(rows, stop, limit), reference.query_rows(rows, stop, limit))
+    _no_nan_and_same(
+        query_values(oracle, rows, stop, limit), query_values(reference, rows, stop, limit)
+    )
     got, want = one_step(base, lam, guess, oracle), one_step(base, lam, guess, reference)
     assert got.variant == want.variant
     _no_nan_and_same(got.values, want.values)
@@ -596,7 +606,7 @@ class _MemoisingRecorder:
         self.log.append((p.coords, value))
         return value
 
-    def query_rows(self, rows, stop, limit):
+    def query_values(self, rows, stop, limit):
         values = []
         for row in rows[:limit]:
             values.append(self.query(Point(row.tolist())))
@@ -674,8 +684,8 @@ def test_pure_oracles_log_what_a_memoising_recorder_logs(case):
     reference = _MemoisingRecorder(answer)
     for how, rows, stop, limit in script:
         if how == "rows":
-            got = oracle.query_rows(rows, stop, limit).tolist()
-            want = reference.query_rows(rows, stop, limit)
+            got = query_values(oracle, rows, stop, limit).tolist()
+            want = reference.query_values(rows, stop, limit)
         else:
             got = [oracle.query(Point(row.tolist())) for row in rows]
             want = [reference.query(Point(row.tolist())) for row in rows]
@@ -701,7 +711,7 @@ def test_fresh_oracles_answer_signed_zero_twins_alike(kind):
     for y in (0.5, 0.1, -1.25):
         twins = [point(-0.0, y), point(0.0, y)]
         singles = [fresh().query(p) for p in twins]
-        batched = [fresh().query_rows(np.array([p.coords]), -1.0, 1).item() for p in twins]
+        batched = [query_values(fresh(), np.array([p.coords]), -1.0, 1).item() for p in twins]
         assert singles[0] == singles[1] == batched[0] == batched[1], (kind, y)
 
 

@@ -22,7 +22,6 @@ from predsearch import (
     origin,
     one_step,
     path_length,
-    phase_endpoints,
     point,
     replay_consistent,
     run_strategy,
@@ -32,6 +31,7 @@ from predsearch import (
 from predsearch.cli import main
 from predsearch.nets import dists_to
 from predsearch.strategies import _unit_walk
+from reference import phase_endpoints
 
 
 def make_oracle(kind, target, c=1.0, c_lo=1.0, seed=0):

@@ -19,12 +19,10 @@ from predsearch import (
     bound_upper_known,
     bound_upper_unknown,
     build_adversarial_instance,
-    contains,
     count_visited_balls,
     distance,
     doubling_cap,
     origin,
-    piecewise_prediction,
     point,
     replay_consistent,
     run_strategy,
@@ -32,6 +30,7 @@ from predsearch import (
 )
 from predsearch import verification
 from predsearch.strategies import _unit_walk
+from reference import piecewise_prediction, query_values
 
 
 def test_tsp_floor_zero_cases():
@@ -87,7 +86,7 @@ def test_build_adversarial_instance_size(c, floor):
     assert len(instance.targets) >= floor
     ball = Ball(origin(2), 0.25)
     for t in instance.targets:
-        assert contains(ball, t)
+        assert distance(ball.center, t) <= ball.radius
     for a, b in itertools.combinations(instance.targets, 2):
         assert distance(a, b) >= 2.0 / c
 
@@ -439,7 +438,7 @@ def test_adversary_batches_match_the_per_row_route_and_the_scalar_adversary(case
             if expected[-1] <= stop:
                 break
         for instance in (batched, per_row):
-            assert repr(instance.query_rows(rows, stop, limit).tolist()) == repr(expected)
+            assert repr(query_values(instance, rows, stop, limit).tolist()) == repr(expected)
             assert instance.live == scalar.live
     for instance in (batched, per_row):
         assert repr(list(instance.memo.items())) == repr(list(scalar.memo.items()))
@@ -459,7 +458,7 @@ def test_wrapped_adversary_query_hears_every_row(monkeypatch):
     monkeypatch.setattr(AdversarialInstance, "query", wrapped)
     instance = build_adversarial_instance(12.0, 2)
     rows = np.array([[0.3, 0.1], [-0.2, 0.0], [0.3, 0.1], [0.6, 0.6]])
-    values = instance.query_rows(rows, -1.0, 4)
+    values = query_values(instance, rows, -1.0, 4)
     assert heard == [tuple(r) for r in rows.tolist()]
     assert values.tolist() == instance.query_arrays()[1].tolist()
 
@@ -477,11 +476,11 @@ def test_adversary_answers_a_long_walk_in_bounded_chunks(monkeypatch):
         return answer_chunk(rows, stop)
 
     monkeypatch.setattr(instance, "_answer_chunk", recorded)
-    values = instance.query_rows(walk, -1.0, len(walk))
+    values = query_values(instance, walk, -1.0, len(walk))
     assert len(walk) == 13447 and sum(sizes) == len(walk)
     assert max(sizes) == AdversarialInstance._CHUNK
     per_row = _PerRowAdversary(24.0, instance.targets)
-    assert repr(values.tolist()) == repr(per_row.query_rows(walk, -1.0, len(walk)).tolist())
+    assert repr(values.tolist()) == repr(query_values(per_row, walk, -1.0, len(walk)).tolist())
     assert instance.live == per_row.live
 
 
