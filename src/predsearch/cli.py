@@ -146,6 +146,10 @@ def parse_run_config(doc: dict) -> RunConfig:
         )
         if not exact:
             raise ConfigError("exact_c1 requires an exact oracle (c_lo = c_hi = 1)")
+        offset = norm * strategy.epsilon_ratio / (2.0 * d)  # how far it probes each axis from o
+        if norm != 0.0 and not MIN_SCALE <= offset <= MAX_SCALE:
+            msg = f"exact_c1 needs 2^-500 <= |ot|*epsilon_ratio/(2d) <= 2^500, got {offset!r}"
+            raise ConfigError(msg)
     elif oracle_spec.c_lo < 1.0:
         raise ConfigError(f"{strategy.kind} needs lambda(p) >= |pt|, i.e. oracle c_lo = 1")
     return RunConfig(d=d, target=target, oracle_spec=oracle_spec, strategy=strategy, seed=seed)

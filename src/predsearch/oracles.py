@@ -82,16 +82,19 @@ class OracleSpec:
                 )
 
 
-def piecewise_predictions(target: Point, c: float, rows: np.ndarray) -> np.ndarray:
+def piecewise_predictions(target: Point | None, c: float, rows: np.ndarray) -> np.ndarray:
     """The piecewise prediction at every row of an (n, d) array: c*|pt|
     inside B(t, 1/c), 1 inside B(o, 1/2) elsewhere, 2*|po| outside, with
-    overlaps resolved in that order (closed tests). The piecewise oracle
-    kind, the adaptive adversary and its replay check all evaluate it here.
+    overlaps resolved in that order (closed tests); a None target gives the
+    value outside B(t, 1/c). The piecewise oracle kind, the adaptive
+    adversary and its replay check all evaluate it here.
     ``tests/reference.py`` holds the scalar form, which it matches bit for
     bit: the distances come from ``dists_to`` and the cases keep their order."""
-    dist_t = dists_to(rows, target.coords)
-    dist_o = dists_to(rows, origin(target.dimension).coords)
+    dist_o = dists_to(rows, origin(rows.shape[1]).coords)
     outside = np.where(dist_o <= 0.5, 1.0, 2.0 * dist_o)
+    if target is None:
+        return outside
+    dist_t = dists_to(rows, target.coords)
     return np.where(dist_t <= 1.0 / c, c * dist_t, outside)
 
 
@@ -121,7 +124,7 @@ class QueryRecorder:
     public read (``query``, ``query_arrays``, ``memo``) returns one.
     """
 
-    # A chunk's answers may measure every row against every candidate
+    # A chunk's answers may measure every row against every live candidate
     # target, so a chunk has at most this many rows to bound that memory.
     _CHUNK = 1 << 10
 

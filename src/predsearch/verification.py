@@ -88,11 +88,11 @@ class AdversarialInstance(QueryRecorder):
 
     Presents the oracle interface used by the strategies (query, the one
     batched query_rows, query_count, dimension, c_factor). Mutable
-    single-owner state: one instance per run. ``_answer`` finds the rows of
-    a chunk that lie in each candidate's ball at once, eliminates at the
-    ones in a live ball, and answers every run of rows between them with
-    ``piecewise_predictions``, up to the first value ``<= stop``; a single
-    ``query`` is a one-row chunk.
+    single-owner state: one instance per run. ``_answer`` takes a chunk in
+    one pass: it measures the rows that can remove a candidate against the
+    live candidates, removes the hit ones in the order of the per-row
+    adversary, and answers with one ``piecewise_predictions`` call; a
+    single ``query`` is a one-row chunk.
 
     No memo is needed: a query that falls in a live ball removes that
     candidate while others live, so after a query at p either no live ball
@@ -125,29 +125,21 @@ class AdversarialInstance(QueryRecorder):
         return None
 
     def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
-        # hit[r, k]: row r lies in candidate k's ball.
-        hit = dists_to(rows, self._centres).T <= self.ball_radius
-        live, answered = self.live, []
-        start = 0
-        while start < len(rows):
-            # The run's first row eliminates the live candidates whose balls
-            # hold it, in ascending index, as long as another one lives.
-            for i in np.flatnonzero(hit[start]).tolist():
-                if i in live and len(live) > 1:
-                    live.remove(i)
-            # No row of the run then lies in a live ball while several live,
-            # so every live candidate predicts the common value there; once
-            # one is left, the run runs to the end with its own prediction.
-            end = len(rows)
-            if len(live) > 1:
-                later = np.flatnonzero(hit[start + 1 :, live].any(axis=1))
-                end = start + 1 + later[0] if len(later) else end
-            values = piecewise_predictions(self.targets[live[0]], self.c, rows[start:end])
-            answered.append(values)
-            if (values <= stop).any():
-                break  # the recorder cuts the values after the first stop
-            start = end
-        return np.concatenate(answered)
+        # Until the commit each answer is the value all live candidates share
+        # outside their balls, so only rows up to the first such value <= stop
+        # can remove one.
+        stops = np.flatnonzero(piecewise_predictions(None, self.c, rows) <= stop)
+        reach = stops[0] + 1 if len(stops) else len(rows)
+        live = np.array(self.live)
+        # hit[k, r]: row r lies in live candidate k's ball.
+        hit = dists_to(rows[:reach], self._centres[:, live]) <= self.ball_radius
+        # Each one hit goes at its first hit row, in ascending index there,
+        # while another one lives.
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), reach)
+        gone = min(np.count_nonzero(first < reach), len(live) - 1)
+        self.live = np.delete(live, np.argsort(first, kind="stable")[:gone]).tolist()
+        # No row answered before the commit lies in a live ball.
+        return piecewise_predictions(self.targets[self.live[0]], self.c, rows)
 
 
 def build_adversarial_instance(c: float, d: int) -> AdversarialInstance:

@@ -637,6 +637,11 @@ def _range_config(target, delta_stop=1e-3):
     }
 
 
+def _exact_config(target, epsilon_ratio, delta_stop=1e-3):
+    strategy = {"kind": "exact_c1", "epsilon_ratio": epsilon_ratio, "delta_stop": delta_stop}
+    return {"d": 2, "target": target, "oracle": {"kind": "exact"}, "strategy": strategy}
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -648,6 +653,11 @@ def _range_config(target, delta_stop=1e-3):
         _range_config([1e200, 0.0]),
         # |ot| squared to 0: a false audit, reached after 1 query at ratio "degenerate".
         _range_config([1e-170, 0.0], delta_stop=1e-173),
+        # exact_c1's axis probes at |ot|*epsilon_ratio/(2d) = 2.5e199 trilaterated
+        # to (nan, nan): a ValueError traceback.
+        _exact_config([0.6, 0.8], 1e200),
+        # Probes at 0 from o do not span the plane: a ValueError traceback.
+        _exact_config([1e-150, 0.0], 1e-300, delta_stop=1e-160),
     ],
 )
 def test_lengths_out_of_range_exit_2_before_any_work(case, tmp_path, capsys):

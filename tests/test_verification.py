@@ -446,6 +446,28 @@ def test_adversary_batches_match_the_per_row_route_and_the_scalar_adversary(case
         assert repr(list(zip(map(tuple, rows.tolist()), values.tolist()))) == repr(scalar.log)
 
 
+def test_adversary_rows_after_the_first_common_stop_remove_nothing():
+    # Row 0 lies in no ball and answers 1.0 <= stop, so the walk stops there
+    # and the candidate centre behind it stays live.
+    instance = build_adversarial_instance(24.0, 2)
+    rows = np.array([[0.45, 0.0], instance.targets[5].coords])
+    assert query_values(instance, rows, 1.2, 2).tolist() == [1.0]
+    assert instance.live == list(range(len(instance.targets)))
+
+
+def test_adversary_row_in_two_live_balls_removes_the_lower_index():
+    # Both balls hold (0.05, 0): candidate 0 goes, candidate 1 commits there
+    # and answers c*|pt| = 0.4, as the scalar adversary does.
+    targets = (point(0.0, 0.0), point(0.1, 0.0))
+    rows = np.array([[0.05, 0.0], [0.1, 0.0]])
+    scalar = _ScalarAdversary(8.0, targets)
+    expected = [scalar.query(Point(row)) for row in rows.tolist()]
+    assert expected == [0.4, 0.0]
+    for instance in (AdversarialInstance(8.0, targets), _PerRowAdversary(8.0, targets)):
+        assert query_values(instance, rows, -1.0, 2).tolist() == expected
+        assert instance.live == [1]
+
+
 def test_wrapped_adversary_query_hears_every_row(monkeypatch):
     # A wrapper on the class, as a tracer installs, sees each row once.
     heard = []
