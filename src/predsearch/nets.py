@@ -34,7 +34,7 @@ __all__ = [
     "CANDIDATE_CAP",
     "build_net",
     "visit_order",
-    "nearest_in_block",
+    "pairs_within",
     "check_covering",
     "check_separation",
     "separated_set",
@@ -570,22 +570,20 @@ def visit_order(net: Net, start: Point) -> np.ndarray:
     return rows
 
 
-def nearest_in_block(rows: np.ndarray, points: np.ndarray, side: float) -> np.ndarray:
-    """Index of each point's nearest row by :func:`dists_to`, looked for
-    only in the 3^d block of the point's cell in a grid of cells of side
-    ``side`` over the rows (see :class:`_CellGrid`), or -1 where that block
-    holds no row. A row nearer than side / ``_BLOCK_GUARD`` is in the block,
-    so a block's nearest row that close is the nearest of all."""
-    grid = _CellGrid(rows, side)
-    nearest = np.full(len(points), -1)
+def pairs_within(rows: np.ndarray, points: np.ndarray, radius: float) -> np.ndarray:
+    """Every (point, row) index pair at :func:`dists_to` distance <= ``radius``,
+    as the two rows of a (2, m) array, point by point in ascending order.
+    Only the 3^d block of each point's cell in a grid of side ``radius *
+    _BLOCK_GUARD**2`` over the rows is measured: a row within the radius
+    lies below side / ``_BLOCK_GUARD``, so in the block (see
+    :class:`_CellGrid`). A nan or negative radius has no pairs."""
+    grid = _CellGrid(rows, radius * _BLOCK_GUARD**2 if radius > 0.0 else 0.0)
+    found = [np.empty((2, 0), dtype=np.intp)]
     for first, size, p in _pairs(*grid.block(grid.cell_keys(points))):
-        # Each point's pairs are adjacent: the first of its group, ranked
-        # by distance, is its nearest row.
-        owner = np.repeat(np.arange(len(size)), size)
-        dist = _pair_distances(grid, p, points[first : first + len(size)].T, size)
-        heads = (np.cumsum(size) - size)[size > 0]
-        nearest[first + np.flatnonzero(size)] = grid.order[p[np.lexsort((dist, owner))[heads]]]
-    return nearest
+        owner = np.repeat(np.arange(first, first + len(size)), size)
+        near = _pair_distances(grid, p, points[first : first + len(size)].T, size) <= radius
+        found.append(np.stack((owner[near], grid.order[p[near]])))
+    return np.concatenate(found, axis=1)
 
 
 def _nearest_distances(rows: np.ndarray, probes: np.ndarray) -> np.ndarray:

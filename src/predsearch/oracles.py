@@ -124,8 +124,8 @@ class QueryRecorder:
     public read (``query``, ``query_arrays``, ``memo``) returns one.
     """
 
-    # A chunk's answers may measure every row against every live candidate
-    # target, so a chunk has at most this many rows to bound that memory.
+    # Rows per chunk: the rows past a stop are answered in vain, and the
+    # adversary makes one pass over its live candidates per chunk.
     _CHUNK = 1 << 10
 
     def __init__(self, dimension: int, c_factor: float):

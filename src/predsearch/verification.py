@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .geometry import Ball, Point, distance, dists_to, origin
-from .nets import nearest_in_block, separated_set
+from .geometry import Ball, Point, distance, origin
+from .nets import pairs_within, separated_set
 from .oracles import QueryRecorder, piecewise_predictions
 from .strategies import SearchTrace, StrategyConfig, step_length_bound
 
@@ -89,10 +89,10 @@ class AdversarialInstance(QueryRecorder):
     Presents the oracle interface used by the strategies (query, the one
     batched query_rows, query_count, dimension, c_factor). Mutable
     single-owner state: one instance per run. ``_answer`` takes a chunk in
-    one pass: it measures the rows that can remove a candidate against the
-    live candidates, removes the hit ones in the order of the per-row
-    adversary, and answers with one ``piecewise_predictions`` call; a
-    single ``query`` is a one-row chunk.
+    one pass: until the commit, :func:`pairs_within` finds which rows that
+    can remove a candidate lie in which live balls, and the hit candidates
+    go in the order of the per-row adversary; one ``piecewise_predictions``
+    call answers the chunk. A single ``query`` is a one-row chunk.
 
     No memo is needed: a query that falls in a live ball removes that
     candidate while others live, so after a query at p either no live ball
@@ -114,8 +114,7 @@ class AdversarialInstance(QueryRecorder):
         self.targets = tuple(targets)
         self.ball_radius = 1.0 / self.c
         self.live: list[int] = list(range(len(targets)))
-        # centres[k] holds coordinate k of every candidate, as a column.
-        self._centres = np.array([t.coords for t in targets]).T[:, :, None]
+        self._centres = np.array([t.coords for t in targets])
 
     @property
     def committed(self) -> Point | None:
@@ -125,19 +124,21 @@ class AdversarialInstance(QueryRecorder):
         return None
 
     def _answer(self, rows: np.ndarray, stop: float) -> np.ndarray:
-        # Until the commit each answer is the value all live candidates share
-        # outside their balls, so only rows up to the first such value <= stop
-        # can remove one.
-        stops = np.flatnonzero(piecewise_predictions(None, self.c, rows) <= stop)
-        reach = stops[0] + 1 if len(stops) else len(rows)
-        live = np.array(self.live)
-        # hit[k, r]: row r lies in live candidate k's ball.
-        hit = dists_to(rows[:reach], self._centres[:, live]) <= self.ball_radius
-        # Each one hit goes at its first hit row, in ascending index there,
-        # while another one lives.
-        first = np.where(hit.any(axis=1), hit.argmax(axis=1), reach)
-        gone = min(np.count_nonzero(first < reach), len(live) - 1)
-        self.live = np.delete(live, np.argsort(first, kind="stable")[:gone]).tolist()
+        if len(self.live) > 1:
+            # Until the commit each answer is the value all live candidates
+            # share outside their balls, so only rows up to the first such
+            # value <= stop can remove one.
+            stops = np.flatnonzero(piecewise_predictions(None, self.c, rows) <= stop)
+            reach = stops[0] + 1 if len(stops) else len(rows)
+            live = np.array(self.live)
+            # Each live candidate's first row in its ball, or reach.
+            hit, row = pairs_within(rows[:reach], self._centres[live], self.ball_radius)
+            first = np.full(len(live), reach)
+            np.minimum.at(first, hit, row)
+            # Each one hit goes at its first hit row, in ascending index there,
+            # while another one lives.
+            gone = min(np.count_nonzero(first < reach), len(live) - 1)
+            self.live = np.delete(live, np.argsort(first, kind="stable")[:gone]).tolist()
         # No row answered before the commit lies in a live ball.
         return piecewise_predictions(self.targets[self.live[0]], self.c, rows)
 
@@ -184,23 +185,23 @@ def count_visited_balls(verts: np.ndarray, centers, radius: float) -> int:
     """How many of the balls the polyline through the (n, d) vertex rows
     reaches: a ball counts when some segment passes strictly inside it.
 
-    A ball's witness is the one or two segments at the vertex nearest its
-    centre in the centre's 3^d block of a cell grid of side ``radius``; only
-    a ball that they do not reach gets the scan of every segment. Each
-    segment's gap is the same either way, so the count is that of the scan.
+    A ball's witness is the one or two segments at a vertex within
+    ``radius`` of its centre (:func:`pairs_within`); only a ball without a
+    witness that reaches it gets the scan of every segment. Each segment's
+    gap is the same either way, so the count is that of the scan.
     """
     starts, ends = (verts, verts) if len(verts) == 1 else (verts[:-1], verts[1:])
     deltas = ends - starts
     len2 = np.einsum("ij,ij->i", deltas, deltas)
     z = np.array([c.coords for c in centers], dtype=np.float64).reshape(-1, verts.shape[1])
-    # The side sets only which witnesses are found; a nan one would break the grid.
-    nearest = nearest_in_block(verts, z, radius if radius > 0.0 else 0.0)
-    # The segments ending and starting at the nearest vertex.
-    seg = np.clip(np.concatenate([nearest - 1, nearest]), 0, len(starts) - 1)
-    gaps2 = _segment_gaps2(starts[seg], deltas[seg], len2[seg], np.concatenate([z, z]))
-    witnessed = (nearest >= 0) & (gaps2.reshape(2, -1).min(axis=0) < radius * radius)
-    visited = int(np.count_nonzero(witnessed))
-    for center in z[~witnessed]:
+    ball, vert = pairs_within(verts, z, radius)
+    # One vertex per ball, and the segments ending and starting there.
+    ball, head = np.unique(ball, return_index=True)
+    seg = np.clip(np.concatenate([vert[head] - 1, vert[head]]), 0, len(starts) - 1)
+    gaps2 = _segment_gaps2(starts[seg], deltas[seg], len2[seg], np.concatenate([z[ball], z[ball]]))
+    witnessed = ball[gaps2.reshape(2, -1).min(axis=0) < radius * radius]
+    visited = len(witnessed)
+    for center in np.delete(z, witnessed, axis=0):
         if np.min(_segment_gaps2(starts, deltas, len2, center)) < radius * radius:
             visited += 1
     return visited

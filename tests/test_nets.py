@@ -35,7 +35,7 @@ from predsearch.nets import (
     _unit_net_points,
     _visit_indices,
     dists_to,
-    nearest_in_block,
+    pairs_within,
 )
 from predsearch.strategies import _unit_walk
 
@@ -251,17 +251,34 @@ def test_nearest_distances_match_brute_force(case):
     assert np.array_equal(_nearest_distances(rows, probes), brute)
 
 
-@settings(deadline=None)
-@given(_cover_cases(), st.sampled_from([1e-3, 0.1, 1.0, 1e3]))
-def test_nearest_in_block_finds_each_row_nearer_than_the_side(case, side):
-    # Such a row lies in the point's 3^d block, so the block's nearest row
-    # is the nearest of all; a block without rows gives -1.
-    rows, points = case
-    for point_, k in zip(points, nearest_in_block(rows, points, side).tolist()):
-        dist = dists_to(rows, point_)
-        assert -1 <= k < len(rows)
-        if dist.min() < side / nets._BLOCK_GUARD:
-            assert k >= 0 and dist[k] == dist.min()
+@st.composite
+def _pair_cases(draw):
+    rows, points = draw(_cover_cases())
+    d = rows.shape[1]
+    radius = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 1e3]))
+    if draw(st.booleans()):
+        # The skewed cloud: rows spread along axis 0 alone. At the small
+        # radii _CellGrid raises h far past the side to keep that axis
+        # under its cell cap.
+        rows = rows * np.append(1.0, np.full(d - 1, 1e-300))
+    # Points one radius from a row along an axis: on its sphere, up to
+    # rounding either way.
+    offset = draw(st.sampled_from([-1.0, 1.0])) * radius * np.eye(d)[draw(st.integers(0, d - 1))]
+    sphere = rows[: draw(st.integers(0, len(rows)))] + offset
+    return rows, np.concatenate((points, sphere)), radius
+
+
+@settings(deadline=None, max_examples=200)
+@given(_pair_cases())
+@example((np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0.5, 0.0], [2.0, 0.0]]), 1.0))
+def test_pairs_within_match_brute_force(case):
+    rows, points, radius = case
+    brute = [
+        (i, j) for i, p in enumerate(points) for j in np.flatnonzero(dists_to(rows, p) <= radius)
+    ]
+    found = pairs_within(rows, points, radius)
+    assert np.all(np.diff(found[0]) >= 0)
+    assert sorted(zip(*found.tolist())) == brute
 
 
 def test_nearest_distances_bound_each_lookup_on_a_skewed_cloud(monkeypatch):

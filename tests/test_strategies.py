@@ -317,12 +317,13 @@ _scaled_coordinate = st.floats(-2.0, 2.0).filter(lambda x: x == 0.0 or abs(x) > 
     coords=st.integers(1, 3).flatmap(
         lambda d: st.lists(_scaled_coordinate, min_size=d, max_size=d)
     ),
-    k=st.integers(-20, 20),
+    k=st.integers(-40, 39),
 )
 def test_search_scales_exactly_by_powers_of_two(kind, strategy, c, coords, k):
     # delta_stop is an absolute radius: scaled with the target, every
     # comparison of the search keeps its outcome and every float scales
-    # exactly, so the trace is the base trace times 2^k.
+    # exactly, so the trace and the whole query log are the base run's
+    # times 2^k.
     scale = 2.0**k
     runs = []
     for factor in (1.0, scale):
@@ -331,12 +332,13 @@ def test_search_scales_exactly_by_powers_of_two(kind, strategy, c, coords, k):
         config = StrategyConfig(
             kind=strategy, c_guess=c if strategy == "known_c" else 1.0, delta_stop=1e-3 * factor
         )
-        runs.append((run_strategy(oracle, config), oracle.query_count))
-    (base, base_queries), (scaled, scaled_queries) = runs
+        runs.append((run_strategy(oracle, config), oracle.query_arrays()))
+    (base, (base_rows, base_values)), (scaled, (scaled_rows, scaled_values)) = runs
     assert scaled.rows.tolist() == (base.rows * scale).tolist()
     assert scaled.lambda_values.tolist() == (base.lambda_values * scale).tolist()
     assert scaled.total_length == base.total_length * scale
-    assert scaled_queries == base_queries
+    assert scaled_rows.tolist() == (base_rows * scale).tolist()
+    assert scaled_values.tolist() == (base_values * scale).tolist()
 
 
 @settings(deadline=None, max_examples=100)

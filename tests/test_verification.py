@@ -29,6 +29,7 @@ from predsearch import (
     tsp_ball_lower_bound,
 )
 from predsearch import verification
+from predsearch.geometry import dists_to
 from predsearch.strategies import _unit_walk
 from reference import piecewise_prediction, query_values
 
@@ -396,22 +397,30 @@ class _PerRowAdversary(AdversarialInstance):
 
 @st.composite
 def _adversary_batches(draw):
-    c = draw(st.sampled_from([6.0, 8.0, 12.0]))
     d = draw(st.integers(1, 3))
+    # c = 40 makes 74 candidates at d = 2, many per query chunk; at d = 3
+    # its 548 would make the scalar adversary slow.
+    c = draw(st.sampled_from([6.0, 8.0, 12.0] + ([40.0] if d <= 2 else [])))
     targets = build_adversarial_instance(c, d).targets
+    centres = np.array([t.coords for t in targets])
     coord = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.6, 0.6))
     seen = [np.zeros(d)]
     batches = []
     for _ in range(draw(st.integers(1, 4))):
         rows = []
         for _ in range(draw(st.integers(1, 30))):
-            how = draw(st.sampled_from(["near", "edge", "free", "repeat", "twin"]))
+            how = draw(st.sampled_from(["near", "edge", "between", "free", "repeat", "twin"]))
             if how == "near":  # inside or next to a candidate's ball
                 centre = np.array(draw(st.sampled_from(targets)).coords)
                 row = centre + np.array(draw(st.lists(st.floats(-1.2, 1.2), min_size=d, max_size=d))) / c
             elif how == "edge":  # on the ball's boundary, up to rounding
                 row = np.array(draw(st.sampled_from(targets)).coords)
                 row[draw(st.integers(0, d - 1))] += draw(st.sampled_from([-1.0, 1.0])) / c
+            elif how == "between":  # the midpoint of a candidate and a near one,
+                # a tangent point of the two balls where they lie 2/c apart
+                k = draw(st.integers(0, len(targets) - 1))
+                near = np.argsort(dists_to(centres, centres[k]), kind="stable")[: 2 * d + 1]
+                row = (centres[k] + centres[draw(st.sampled_from(near.tolist()))]) / 2
             elif how == "free":
                 row = np.array(draw(st.lists(coord, min_size=d, max_size=d)))
             else:
